@@ -28,9 +28,11 @@ HOT_MODULE_GLOBS = (
     "repro/des/*.py",
     "repro/net/channel.py",
     "repro/cache/*.py",
-    # The population pool holds one PooledMember per absorbed client —
-    # at megacell scale that is ~10^6 instances, so object layout IS the
-    # memory bound the aggregation layer exists to enforce.
+    # The population pool holds one PooledMember per absorbed client and
+    # builds one per seeded member as it wakes (the seeded tail itself is
+    # bare ids), so at megacell scale the instance count follows churn;
+    # object layout is still the memory bound the aggregation layer
+    # exists to enforce.
     "repro/sim/population.py",
 )
 

@@ -85,6 +85,13 @@ class RandomStream:
             raise ValueError(f"probability {p} outside [0, 1]")
         return bool(self._gen.random() < p)
 
+    def bernoulli_mask(self, p: float, n: int) -> "np.ndarray[Any, Any]":
+        """*n* independent Bernoulli(*p*) trials as one boolean array."""
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"probability {p} outside [0, 1]")
+        mask: "np.ndarray[Any, Any]" = self._gen.random(n) < p
+        return mask
+
     def poisson_at_least_one(self, mean: float) -> int:
         """A positive integer with the given mean, via 1 + Poisson(mean-1).
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Union
+from typing import Dict, Iterable, List, Union
+
+import numpy as np
 
 from ..db import Database, UpdateGenerator, UpdateLog
 from ..des import Environment, RandomStreams
@@ -117,9 +119,14 @@ class SimulationModel:
         #: on, absorbed clients leave and promoted ones re-enter (use
         #: :meth:`client_by_id`, not positional indexing).
         self._clients_by_id: Dict[int, MobileClient] = {}
+        #: The query pattern every client shares.  It is client-independent
+        #: and immutable, so one instance (and one Zipf CDF table) serves
+        #: every constructed and promoted client.
+        self.query_pattern = workload.query_pattern(params.db_size)
         #: Population-aggregation pool (None with the knob group off —
         #: zero cost, bit-identical to the seed).
         self.population = None
+        live_ids: Iterable[int] = range(params.n_clients)
         agg = params.aggregation
         if agg is not None:
             from .population import PopulationPool
@@ -132,34 +139,16 @@ class SimulationModel:
                 promote=self._promote_member,
                 release=self._release_client,
             )
-        for cid in range(params.n_clients):
+            if agg.start_in_pool > 0.0:
+                live_ids = self._seed_pool(self.population, agg)
+        for cid in live_ids:
             cell_id, downlink, uplink, ir_channel = self._client_home(cid)
-            if (
-                self.population is not None
-                and cid >= agg.k_exact
-                and agg.start_in_pool > 0.0
-                and self.population.seed_stream.bernoulli(agg.start_in_pool)
-            ):
-                # Steady-state initial condition: park this client
-                # mid-doze without ever constructing it.  Its stratum is
-                # the signature warm_fill would have produced.
-                if params.warm_start:
-                    from .population import warm_signature
-
-                    n_hot, n_cold = warm_signature(
-                        workload.query_pattern(params.db_size, cid),
-                        params.cache_capacity,
-                    )
-                else:
-                    n_hot, n_cold = 0, 0
-                self.population.seed_parked(cid, cell_id, n_hot, n_cold)
-                continue
             self._clients_by_id[cid] = MobileClient(
                 self.env,
                 client_id=cid,
                 params=params,
                 policy=scheme.make_client_policy(params, cid),
-                query_pattern=workload.query_pattern(params.db_size, cid),
+                query_pattern=self.query_pattern,
                 downlink=downlink,
                 uplink=uplink,
                 metrics=self.metrics,
@@ -193,6 +182,30 @@ class SimulationModel:
 
     # -- population aggregation (repro.sim.population) ------------------------
 
+    def _seed_pool(self, pool, agg) -> List[int]:
+        """Park the ``start_in_pool`` share of the eligible clients.
+
+        Steady-state initial condition: one vector draw picks the parked
+        ids among ``k_exact..n_clients-1``, and each home cell's parked
+        ids enter the pool as one stratum, never constructed.  Their
+        signature is the one ``warm_fill`` would have produced.  Returns
+        the ids left to construct, in id order.
+        """
+        from .population import warm_signature
+
+        params = self.params
+        eligible = np.arange(agg.k_exact, params.n_clients)
+        parked = pool.seed_stream.bernoulli_mask(agg.start_in_pool, len(eligible))
+        if params.warm_start:
+            n_hot, n_cold = warm_signature(self.query_pattern, params.cache_capacity)
+        else:
+            n_hot, n_cold = 0, 0
+        seeded = eligible[parked]
+        homes = self._home_cells(seeded)
+        for cell in range(self.n_cells):
+            pool.seed_parked(cell, n_hot, n_cold, seeded[homes == cell].tolist())
+        return list(range(agg.k_exact)) + eligible[~parked].tolist()
+
     def _promote_member(self, member, now: float) -> MobileClient:
         """Pool hook: rebuild one member as a full-fidelity client.
 
@@ -207,7 +220,7 @@ class SimulationModel:
         params = self.params
         pool = self.population
         cid = member.client_id
-        pattern = self.workload.query_pattern(params.db_size, cid)
+        pattern = self.query_pattern
         tlb = pool.bucket_time(member.tlb_bucket)
         cache = rebuild_cache(
             self.streams.stream(f"client-{cid}/pool"),
@@ -279,6 +292,10 @@ class SimulationModel:
     def _client_home(self, cid: int):
         """Hook: ``(cell_id, downlink, uplink, ir_channel)`` for a client."""
         return 0, self.downlink, self.uplink, self.ir_channel
+
+    def _home_cells(self, ids: np.ndarray) -> np.ndarray:
+        """Hook: the home cell of each client in *ids* (vector ``_client_home``)."""
+        return np.zeros_like(ids)
 
     def _collect_extra_telemetry(self, result: SimulationResult):
         """Hook: let subclasses append telemetry to the finished result."""

@@ -169,6 +169,9 @@ class MultiCellModel(SimulationModel):
         cell = cid % self.n_cells
         return (cell,) + self._cell_channels(cell)
 
+    def _home_cells(self, ids):
+        return ids % self.n_cells
+
     def _cell_channels(self, cell_id: int):
         return (
             self.cell_downlinks[cell_id],

@@ -12,10 +12,14 @@ state is collapsed to a stratum key
 where the cache signature counts cached items inside/outside the query
 pattern's hot region.  The pool keeps only counts per stratum plus a
 tiny per-member residue (ids, the scheme policy object, a wake time), so
-a dozing client costs ~0 events (the PR 3 ``set_listening`` fast lane)
-*and* ~0 memory.
+a dozing client costs ~0 events (the ``set_listening`` fast lane)
+*and* ~0 memory.  An absorbed member keeps one heap entry, its wake.
+Members seeded at build time (``start_in_pool``) keep none: a seeded
+stratum is an id list, and the whole seeded tail shares one superposed
+wake clock, so set-up scales with the clients that wake before the
+horizon, not with the clients that exist.
 
-When a member's seeded reconnect fires it is *promoted* back into a full
+When a member's reconnect fires it is *promoted* back into a full
 client: a cache consistent with its stratum is rebuilt
 (:func:`rebuild_cache` — every entry is an honest ``Tlb``-time copy:
 version = the item's version at ``Tlb``, timestamp = ``Tlb``), and the
@@ -40,7 +44,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..cache import CacheEntry, ClientCache
-from ..des import Environment
+from ..des import Environment, Timeout
 from ..des.monitor import MetricSet
 from ..des.rng import RandomStream, RandomStreams
 from . import metrics as m
@@ -219,10 +223,12 @@ class PooledMember:
 
     The scheme policy object rides along because some client policies
     carry cross-episode state (SIG's saved combined signatures); it is
-    tiny compared to the cache the pool sheds.  The member doubles as
-    its own wake callback (appended to a :class:`Timeout`), so a parked
-    client costs exactly one heap entry — the same event the exact
-    model's doze sleep would schedule.
+    tiny compared to the cache the pool sheds.  An absorbed member
+    doubles as its own wake callback (appended to a :class:`Timeout`),
+    so it costs exactly one heap entry — the same event the exact
+    model's doze sleep would schedule.  A seeded member has no record
+    and no heap entry while parked: it is one id in its stratum's list
+    until the pool's seed clock picks it, and is built only then.
     """
 
     __slots__ = (
@@ -314,6 +320,9 @@ class PopulationPool:
         "residents",
         "peak_residents",
         "seed_stream",
+        "_seeded",
+        "_seeded_count",
+        "_seed_clock",
         "_promote",
         "_release",
         "_bucket_seconds",
@@ -345,6 +354,11 @@ class PopulationPool:
         #: One pool-level stream for build-time seeding draws — parking
         #: 100k members must not materialise 100k per-client generators.
         self.seed_stream = streams.stream("population/seed")
+        #: Seeded residents not yet woken: one id list per stratum, and
+        #: the one pending timeout of their superposed wake clock.
+        self._seeded: Dict[StratumKey, List[int]] = {}
+        self._seeded_count = 0
+        self._seed_clock: Optional[Timeout] = None
         self._promote = promote
         self._release = release
         interval = params.broadcast_interval
@@ -406,36 +420,92 @@ class PopulationPool:
         self._release(client)
         return True
 
-    def seed_parked(self, client_id: int, cell_id: int, n_hot: int, n_cold: int) -> None:
-        """Park a never-constructed client at build time (steady state).
+    def seed_parked(
+        self, cell_id: int, n_hot: int, n_cold: int, client_ids: List[int]
+    ) -> None:
+        """Park one stratum of never-constructed clients at build time.
 
-        The member starts coherent with the t=0 database (``Tlb`` bucket
-        0, epoch 0) and mid-doze: its first wake is drawn from the
-        pool's own seed stream, so seeding never touches (or creates)
-        the per-client streams.
+        The stratum starts coherent with the t=0 database (``Tlb`` bucket
+        0, epoch 0) and mid-doze.  Its members cost one list slot each:
+        none is built, and none gets a heap entry.  Instead the whole
+        seeded tail shares one wake clock (:meth:`_arm_seed_clock`),
+        drawn from the pool's own seed stream, so seeding never touches
+        (or creates) the per-client streams.
         """
-        doze = self.seed_stream.exponential(self.params.disconnect_time_mean)
+        if not client_ids:
+            return
+        n = len(client_ids)
+        key: StratumKey = (cell_id, 0, 0, n_hot, n_cold)
+        self._seeded.setdefault(key, []).extend(client_ids)
+        self._seeded_count += n
+        self._count_in(key, n)
+        self._m_seeded.add(n)
+        self._arm_seed_clock()
+
+    def _arm_seed_clock(self) -> None:
+        """(Re)draw the superposed wake clock of the seeded tail.
+
+        Each seeded resident's wake is an independent Exp(D) from t=0,
+        D = ``disconnect_time_mean``.  The exponential is memoryless, so
+        at any instant the M residents still parked each wait a fresh
+        Exp(D): the first of them wakes after Exp(D / M), and it is
+        equally likely to be any of them.  One timeout drawn that way,
+        plus a uniform pick when it fires, therefore has the same joint
+        law of wake times and identities as M per-member timeouts.  A
+        redraw (a later stratum seeded) supersedes the pending timeout,
+        which then fires as a no-op.
+        """
+        m = self._seeded_count
+        if not m:
+            self._seed_clock = None
+            return
+        clock = self.env.timeout(
+            self.seed_stream.exponential(self.params.disconnect_time_mean / m)
+        )
+        callbacks = clock.callbacks
+        assert callbacks is not None  # fresh Timeout: not yet processed
+        callbacks.append(self._on_seed_clock)
+        self._seed_clock = clock
+
+    def _on_seed_clock(self, event: Any) -> None:
+        """The seed clock fired: wake one seeded resident picked uniformly."""
+        if event is not self._seed_clock:
+            return  # superseded by a redraw
+        pick = self.seed_stream.randint(0, self._seeded_count - 1)
+        for key, ids in self._seeded.items():
+            if pick < len(ids):
+                break
+            pick -= len(ids)
+        client_id = ids[pick]
+        ids[pick] = ids[-1]
+        ids.pop()
+        if not ids:
+            del self._seeded[key]
+        self._seeded_count -= 1
+        cell_id, report_epoch, tlb_bucket, n_hot, n_cold = key
         member = PooledMember(
             self,
             client_id=client_id,
             cell_id=cell_id,
             report_cell=cell_id,
-            report_epoch=0,
-            tlb_bucket=0,
+            report_epoch=report_epoch,
+            tlb_bucket=tlb_bucket,
             n_hot=n_hot,
             n_cold=n_cold,
             policy=None,
-            wake_at=self.env.now + doze,
+            wake_at=self.env.now,
         )
-        self._park(member, doze)
-        self._m_seeded.add()
+        self._wake(member)
+        self._arm_seed_clock()
 
-    def _park(self, member: PooledMember, delay: float) -> None:
-        key = member.key
-        self.strata[key] = self.strata.get(key, 0) + 1
-        self.residents += 1
+    def _count_in(self, key: StratumKey, n: int) -> None:
+        self.strata[key] = self.strata.get(key, 0) + n
+        self.residents += n
         if self.residents > self.peak_residents:
             self.peak_residents = self.residents
+
+    def _park(self, member: PooledMember, delay: float) -> None:
+        self._count_in(member.key, 1)
         # One NORMAL-priority heap entry per member — the same (time,
         # priority) the exact model's doze sleep would occupy, so wakes
         # interleave with reports and queries exactly as before.

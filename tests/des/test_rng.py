@@ -83,6 +83,14 @@ class TestDistributions:
         hits = sum(stream.bernoulli(0.3) for _ in range(20000))
         assert hits / 20000 == pytest.approx(0.3, abs=0.02)
 
+    def test_bernoulli_mask(self, stream):
+        assert not stream.bernoulli_mask(0.0, 100).any()
+        assert stream.bernoulli_mask(1.0, 100).all()
+        assert stream.bernoulli_mask(0.5, 0).shape == (0,)
+        assert stream.bernoulli_mask(0.3, 20000).mean() == pytest.approx(0.3, abs=0.02)
+        with pytest.raises(ValueError):
+            stream.bernoulli_mask(-0.1, 10)
+
     def test_poisson_at_least_one(self, stream):
         samples = [stream.poisson_at_least_one(5.0) for _ in range(20000)]
         assert min(samples) >= 1

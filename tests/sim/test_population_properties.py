@@ -15,16 +15,31 @@ knob setting and workload — exactly the kind of claim Hypothesis is for:
 * **Validation** — `AggregationConfig` / `SystemParams` reject nonsense
   (negative K, K > population, zero-width buckets, fractions outside
   [0, 1]) at construction time, not at hour three of a megacell run.
+
+A fifth family pins the seeded tail's wake law (one superposed clock
+over per-stratum id lists, see ``PopulationPool.seed_parked``) at fixed
+seeds, so its bounds are exact statements about those runs, not flaky
+tolerances.
 """
+
+import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.des import Environment
+from repro.des.monitor import MetricSet
 from repro.des.rng import RandomStreams
 from repro.sim import AggregationConfig, SystemParams
 from repro.sim.model import SimulationModel
-from repro.sim.population import cache_signature, rebuild_cache, warm_signature
+from repro.sim.population import (
+    PopulationPool,
+    cache_signature,
+    rebuild_cache,
+    warm_signature,
+)
 from repro.sim.runner import run_simulation
 from repro.sim.workload import HOTCOLD, UNIFORM, AccessPattern, Region
 from repro.topology import RoamingConfig, TopologyConfig
@@ -42,6 +57,16 @@ def _pool_invariants(model):
     assert ledger == pool.residents
     assert all(count > 0 for count in pool.strata.values())
     assert sum(pool.strata.values()) == pool.residents
+    # The seeded tail: non-empty id lists, each inside its stratum's
+    # count, never a K-exact or live id, and one live clock while any
+    # seeded resident is left.
+    seeded = pool._seeded
+    assert sum(len(ids) for ids in seeded.values()) == pool._seeded_count
+    for key, ids in seeded.items():
+        assert 0 < len(ids) <= pool.strata[key]
+        assert min(ids) >= pool.config.k_exact
+        assert not any(cid in model._clients_by_id for cid in ids)
+    assert (pool._seed_clock is not None) == (pool._seeded_count > 0)
 
 
 @settings(max_examples=10)
@@ -215,3 +240,194 @@ def test_rebuild_rejects_impossible_strata():
         rebuild_cache(stream, pattern, 10, 0, 11, 0.0)
     with pytest.raises(ValueError, match="non-negative"):
         rebuild_cache(stream, pattern, 10, -1, 2, 0.0)
+
+
+# -- the seeded tail's wake law ----------------------------------------------
+
+
+def _bare_pool(seed, disconnect_time_mean, n_clients=10_000, k_exact=0):
+    """A pool on an empty kernel whose promote hook only records wakes."""
+    params = SystemParams(
+        n_clients=n_clients,
+        disconnect_time_mean=disconnect_time_mean,
+        seed=seed,
+        aggregation=AggregationConfig(k_exact=k_exact, start_in_pool=1.0),
+    )
+    env = Environment()
+    woken = []
+    pool = PopulationPool(
+        env,
+        params,
+        RandomStreams(seed),
+        MetricSet(),
+        promote=lambda member, now: woken.append((member, now)),
+        release=lambda client: None,
+    )
+    return env, pool, woken
+
+
+def test_seeded_tail_wakes_every_id_exactly_once():
+    """Drained to the end, the seed clock wakes each seeded id once, in
+    its own stratum, and leaves no resident, stratum or event behind."""
+    env, pool, woken = _bare_pool(seed=4, disconnect_time_mean=100.0)
+    strata = {0: list(range(10, 400)), 1: list(range(400, 450)), 2: [7]}
+    for cell, ids in strata.items():
+        pool.seed_parked(cell, 3, 2, ids)
+    pool.seed_parked(1, 3, 2, [])  # an empty stratum parks nothing
+    assert pool.residents == 441
+    env.run()
+    assert Counter(member.client_id for member, _ in woken) == Counter(
+        cid for ids in strata.values() for cid in ids
+    )
+    for member, now in woken:
+        assert member.client_id in strata[member.cell_id]
+        assert member.key == (member.cell_id, 0, 0, 3, 2)
+        assert member.policy is None and member.wake_at == now
+    times = [now for _, now in woken]
+    assert times == sorted(times)
+    assert pool.residents == 0 and not pool.strata and pool._seed_clock is None
+
+
+def test_seeded_promotion_count_follows_the_exponential_law():
+    """By T, M members with Exp(D) wakes promote M(1-exp(-T/D)) on
+    average: the pooled mean over 20 fixed seeds stays within four
+    standard errors of the binomial law."""
+    m, d, horizon, seeds = 5_000, 1_000.0, 200.0, range(20)
+    counts = []
+    for seed in seeds:
+        env, pool, woken = _bare_pool(seed, d)
+        pool.seed_parked(0, 0, 0, list(range(m)))
+        env.run(until=horizon)
+        counts.append(len(woken))
+        assert pool.residents == m - len(woken)
+    q = 1.0 - math.exp(-horizon / d)
+    stderr = math.sqrt(m * q * (1.0 - q) / len(counts))
+    assert abs(sum(counts) / len(counts) - m * q) < 4.0 * stderr
+
+
+def _model_promotions(model):
+    """Record ``(client_id, cell_id, seeded)`` for every promotion."""
+    pool = model.population
+    inner = pool._promote
+    promoted = []
+
+    def record(member, now):
+        promoted.append((member.client_id, member.cell_id, member.policy is None))
+        return inner(member, now)
+
+    pool._promote = record
+    return promoted
+
+
+def test_seeded_ids_promote_at_most_once_and_never_below_k_exact():
+    params = SystemParams(
+        simulation_time=600.0,
+        n_clients=600,
+        db_size=200,
+        buffer_fraction=0.05,
+        think_time_mean=40.0,
+        update_interarrival_mean=80.0,
+        disconnect_prob=0.5,
+        disconnect_time_mean=1500.0,
+        seed=9,
+        aggregation=AggregationConfig(k_exact=25, start_in_pool=0.5),
+    )
+    model = SimulationModel(params, UNIFORM, "aaw")
+    seeded_at_build = {cid for ids in model.population._seeded.values() for cid in ids}
+    assert min(seeded_at_build) >= params.aggregation.k_exact
+    assert seeded_at_build.isdisjoint(model._clients_by_id)
+    promoted = _model_promotions(model)
+    model.run()
+    woken = Counter(cid for cid, _, seeded in promoted if seeded)
+    assert woken, "no seeded member woke"
+    assert max(woken.values()) == 1
+    assert set(woken) <= seeded_at_build
+
+
+def test_seeded_promotions_spread_across_cells_by_seeded_count():
+    """Three-cell path: the seed clock's uniform pick promotes from each
+    cell in proportion to its seeded count (chi-square, 2 degrees of
+    freedom, below the 0.1% critical value 13.82, pooled over fixed
+    seeds)."""
+    from repro.sim.multicell import MultiCellModel
+
+    seeded_by_cell = Counter()
+    promoted_by_cell = Counter()
+    for seed in (1, 2, 3):
+        params = SystemParams(
+            simulation_time=300.0,
+            n_clients=3_000,
+            db_size=200,
+            buffer_fraction=0.05,
+            think_time_mean=100.0,
+            update_interarrival_mean=80.0,
+            disconnect_prob=0.9,
+            disconnect_time_mean=6_000.0,
+            seed=seed,
+            uplink_timeout=15.0,
+            roaming=RoamingConfig(
+                topology=TopologyConfig(kind="path", n_cells=3), roam_prob=0.5
+            ),
+            aggregation=AggregationConfig(
+                k_exact=7, start_in_pool=0.7, min_doze_intervals=1e9
+            ),
+        )
+        model = MultiCellModel(params, UNIFORM, "aaw")
+        for (cell, *_), ids in model.population._seeded.items():
+            seeded_by_cell[cell] += len(ids)
+        promoted = _model_promotions(model)
+        model.run()
+        promoted_by_cell.update(cell for _, cell, seeded in promoted if seeded)
+    total_seeded = sum(seeded_by_cell.values())
+    total_promoted = sum(promoted_by_cell.values())
+    assert total_promoted > 300
+    chi2 = 0.0
+    for cell in range(3):
+        expected = total_promoted * seeded_by_cell[cell] / total_seeded
+        chi2 += (promoted_by_cell[cell] - expected) ** 2 / expected
+    assert chi2 < 13.82
+
+
+@pytest.mark.parametrize("start_in_pool", [0.5, 1.0])
+@pytest.mark.parametrize("seed", [3, 17])
+def test_seeded_pool_invariants_at_checkpoints(seed, start_in_pool):
+    params = SystemParams(
+        simulation_time=1500.0,
+        n_clients=200,
+        db_size=200,
+        buffer_fraction=0.05,
+        think_time_mean=40.0,
+        update_interarrival_mean=80.0,
+        disconnect_prob=0.4,
+        disconnect_time_mean=800.0,
+        warm_start=True,
+        seed=seed,
+        aggregation=AggregationConfig(k_exact=12, start_in_pool=start_in_pool),
+    )
+    model = SimulationModel(params, HOTCOLD, "aaw")
+    _pool_invariants(model)
+    for checkpoint in (200.0, 700.0, 1500.0):
+        model.env.run(until=checkpoint)
+        _pool_invariants(model)
+    assert model.metrics.counter("pool.promoted").value > 0
+
+
+def test_seeded_build_schedules_events_for_live_clients_only():
+    """Structural scaling gate (event counts, never time): a 100k-client
+    cell parked in the pool schedules O(k_exact) events at t=0."""
+    k_exact = 64
+    params = SystemParams(
+        simulation_time=600.0,
+        n_clients=100_000,
+        db_size=1_000,
+        buffer_fraction=0.02,
+        disconnect_prob=0.9,
+        disconnect_time_mean=300_000.0,
+        warm_start=True,
+        seed=11,
+        aggregation=AggregationConfig(k_exact=k_exact, start_in_pool=1.0),
+    )
+    model = SimulationModel(params, UNIFORM, "aaw")
+    assert model.population.residents == params.n_clients - k_exact
+    assert len(model.clients) == k_exact
+    assert model.env.scheduled_events <= 2 * k_exact + 16
