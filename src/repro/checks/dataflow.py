@@ -54,6 +54,8 @@ DRAW_METHODS = frozenset(
         "uniform",
         "randint",
         "bernoulli",
+        "bernoulli_mask",
+        "uniform_block",
         "poisson_at_least_one",
         "choice_without_replacement",
         "shuffled",

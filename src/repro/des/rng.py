@@ -15,9 +15,10 @@ not depend on creation order.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 
 def _derive_entropy(seed: int, name: str) -> int:
@@ -25,31 +26,45 @@ def _derive_entropy(seed: int, name: str) -> int:
     return int.from_bytes(digest[:16], "little")
 
 
-# Initial PCG64 states memoized per (seed, name): deriving a state via
-# SeedSequence costs ~60us, restoring a cached one ~25us, and sweeps
-# re-create the same few hundred streams for every scheme/cell run.
-# Capped so an unbounded seed sweep cannot balloon memory.
-_STATE_CACHE: Dict[Tuple[int, str], Dict[str, Any]] = {}
-_STATE_CACHE_MAX = 4096
-_pcg_template: Optional[np.random.PCG64] = None
+class _SeedWords(ISeedSequence):
+    """A seed sequence that replays four precomputed PCG64 seed words.
+
+    ``PCG64(SeedSequence(e))`` seeds itself from exactly
+    ``SeedSequence(e).generate_state(4, uint64)``; handing those words
+    back through this shim rebuilds the identical generator without
+    rerunning the SeedSequence hash.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: "np.ndarray[Any, Any]") -> None:
+        self.words = words
+
+    def generate_state(
+        self, n_words: int, dtype: Any = np.uint32
+    ) -> "np.ndarray[Any, Any]":
+        assert n_words == 4 and dtype is np.uint64, (n_words, dtype)
+        return self.words
+
+
+# PCG64 seed words memoized per (seed, name): deriving them costs ~20us
+# (sha256 + SeedSequence), building a PCG64 from cached words ~3us, and
+# sweeps re-create the same few hundred streams for every scheme/cell
+# run.  Capped so an unbounded seed sweep cannot balloon memory.
+_WORDS_CACHE: Dict[Tuple[int, str], "np.ndarray[Any, Any]"] = {}
+_WORDS_CACHE_MAX = 4096
 
 
 def _make_bitgen(seed: int, name: str) -> np.random.PCG64:
-    global _pcg_template
     key = (seed, name)
-    state = _STATE_CACHE.get(key)
-    if state is not None:
-        # A cached state implies the template was set on first creation.
-        assert _pcg_template is not None
-        bitgen = _pcg_template.jumped(0)  # cheap copy; state overwritten
-        bitgen.state = state
-        return bitgen
-    bitgen = np.random.PCG64(np.random.SeedSequence(_derive_entropy(seed, name)))
-    if _pcg_template is None:
-        _pcg_template = bitgen.jumped(0)
-    if len(_STATE_CACHE) < _STATE_CACHE_MAX:
-        _STATE_CACHE[key] = bitgen.state
-    return bitgen
+    words = _WORDS_CACHE.get(key)
+    if words is None:
+        words = np.random.SeedSequence(_derive_entropy(seed, name)).generate_state(
+            4, np.uint64
+        )
+        if len(_WORDS_CACHE) < _WORDS_CACHE_MAX:
+            _WORDS_CACHE[key] = words
+    return np.random.PCG64(_SeedWords(words))
 
 
 class RandomStream:
@@ -84,6 +99,16 @@ class RandomStream:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"probability {p} outside [0, 1]")
         return bool(self._gen.random() < p)
+
+    def uniform_block(self, n: int) -> List[float]:
+        """*n* uniforms on ``[0, 1)``, drawn in one call.
+
+        Exactly the values *n* successive :meth:`bernoulli` calls compare
+        against, leaving the same generator state, so a consumer may
+        batch its trials without changing what it draws.
+        """
+        block: List[float] = self._gen.random(n).tolist()
+        return block
 
     def bernoulli_mask(self, p: float, n: int) -> "np.ndarray[Any, Any]":
         """*n* independent Bernoulli(*p*) trials as one boolean array."""

@@ -31,6 +31,11 @@ Receiver = Callable[[Message, float], None]
 _attach_order = attrgetter("key")
 
 
+def _fault_keys(receivers) -> Tuple[Optional[int], ...]:
+    """Fault-judgement keys of *receivers*; None for wired ones (never judged)."""
+    return tuple(None if rec.wired else rec.key for rec in receivers)
+
+
 class _Receiver:
     """One attached delivery callback plus its dispatch metadata."""
 
@@ -109,6 +114,7 @@ class Channel:
         "_by_dest",
         "_promiscuous",
         "_listening",
+        "_listening_keys",
         "_next_receiver_key",
         "_seq",
         "_current",
@@ -141,6 +147,8 @@ class Channel:
         #: Lazily rebuilt snapshot of listening receivers for broadcast
         #: dispatch (None = dirty).
         self._listening: Optional[Tuple[_Receiver, ...]] = None
+        #: Fault keys of ``_listening`` (valid while it is not None).
+        self._listening_keys: Tuple[Optional[int], ...] = ()
         self._next_receiver_key = 0
         self._seq = 0
         self._current: Optional[PriorityItem] = None
@@ -352,6 +360,7 @@ class Channel:
                     receivers = self._listening = tuple(
                         rec for rec in self._receivers if rec.listening
                     )
+                    self._listening_keys = _fault_keys(receivers)
                 if faults is None:
                     # Pristine broadcast: the hottest dispatch path.
                     for rec in receivers:
@@ -359,27 +368,35 @@ class Channel:
                     if done is not None:
                         self._complete(done, message)
                     return
+                keys = self._listening_keys
             else:
                 # A coalesced data response: only its requesters (and
                 # promiscuous watchers) need to decode the broadcast.
                 receivers = self._targets(recipients)
+                keys = None
         else:
             receivers = self._targets((message.dest,))
-        corrupted_copy: Optional[Message] = None
-        # Fault fates are judged only for receivers that are actually
-        # dispatched to — dozing clients and unaddressed bystanders
-        # consume no draws (see docs/PROTOCOLS.md).
-        for rec in receivers:
-            if faults is not None and not rec.wired:
-                fate = faults.fate(message, rec.key)
-                if fate is Fate.DROP:
-                    continue
-                if fate is Fate.CORRUPT:
+            keys = None
+        if faults is None:
+            for rec in receivers:
+                rec.callback(message, now)
+        else:
+            # Fault fates are judged only for receivers that are actually
+            # dispatched to — dozing clients and unaddressed bystanders
+            # consume no draws (see docs/PROTOCOLS.md) — all at once, in
+            # attach order, before any callback runs.
+            fates = faults.judge(
+                message, keys if keys is not None else _fault_keys(receivers)
+            )
+            deliver = Fate.DELIVER
+            corrupted_copy: Optional[Message] = None
+            for rec, fate in zip(receivers, fates):
+                if fate is deliver:
+                    rec.callback(message, now)
+                elif fate is Fate.CORRUPT:
                     if corrupted_copy is None:
                         corrupted_copy = replace(message, corrupted=True)
                         corrupted_copy.delivered_at = now
                     rec.callback(corrupted_copy, now)
-                    continue
-            rec.callback(message, now)
         if done is not None:
             self._complete(done, message)

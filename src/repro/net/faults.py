@@ -17,7 +17,9 @@ can
 
 Every decision draws from one dedicated named stream
 (:class:`~repro.des.rng.RandomStream`), so runs stay reproducible and the
-fault stream never perturbs the model's other streams.  A
+fault stream never perturbs the model's other streams.  The model owns
+that stream and draws its uniforms in blocks; the sequence of uniforms
+its trials consume is the one per-trial scalar draws would take.  A
 :class:`FaultConfig` whose probabilities are all zero never draws at all
 and is behaviourally identical to no fault model (the golden differential
 test in ``tests/sim/test_faults.py`` pins this).
@@ -32,7 +34,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from .messages import Message, MessageKind
 
@@ -152,13 +154,38 @@ class FaultStats:
         return self.intact / self.judged if self.judged else 1.0
 
 
+#: Uniforms a model draws per refill (more when one message needs more).
+_BLOCK = 512
+
+
 class FaultModel:
     """Judge of each (message, receiver) delivery on one channel.
 
     Holds the per-receiver Gilbert–Elliott chain states and the fault
     telemetry.  One instance per channel; the channel calls
-    :meth:`fate` once per non-wired receiver per delivered message.
+    :meth:`judge` once per delivered message for its dispatched
+    receivers, and :meth:`fate` judges a single delivery.
+
+    The model owns *stream*: it draws uniforms ahead in blocks
+    (:meth:`~repro.des.rng.RandomStream.uniform_block`) and serves every
+    Bernoulli trial from a cursor into the block, so the stream must
+    not be shared with any other consumer.  Each trial is ``u < p`` on
+    the next uniform — the Gilbert–Elliott transition, then the drop,
+    then the corruption, skipping a trial whose probability is zero
+    (transitions always draw) — which is exactly the sequence of scalar
+    draws one ``bernoulli`` call per trial would consume.
     """
+
+    __slots__ = (
+        "config",
+        "stream",
+        "stats",
+        "_bad",
+        "_null",
+        "_bursty",
+        "_block",
+        "_pos",
+    )
 
     def __init__(self, config: FaultConfig, stream):
         self.config = config
@@ -168,6 +195,9 @@ class FaultModel:
         self._bad: Dict[int, bool] = {}
         self._null = config.is_null
         self._bursty = config.ge_good_to_bad > 0.0
+        #: Uniforms drawn ahead; ``_block[_pos:]`` are not yet consumed.
+        self._block: List[float] = []
+        self._pos = 0
 
     def __repr__(self):
         return f"<FaultModel null={self._null} stats={self.stats}>"
@@ -183,34 +213,93 @@ class FaultModel:
 
     def fate(self, message: Message, receiver_key: int) -> Fate:
         """Judge one delivery; updates chain state and telemetry."""
+        return self.judge(message, (receiver_key,))[0]
+
+    def judge(self, message: Message, keys: Sequence[Optional[int]]) -> List[Fate]:
+        """Judge one message for each receiver key in *keys*, in order.
+
+        Returns the fates aligned with *keys*.  A ``None`` key stands
+        for a wired receiver: it is delivered without a judgement or a
+        draw.  The per-message probabilities are computed once, so each
+        trial costs one list read and one compare.
+        """
         if self._null:
-            return Fate.DELIVER
+            return [Fate.DELIVER] * len(keys)
         cfg = self.config
+        kind = message.kind
+        size_bits = message.size_bits
+        drop_prob = cfg.drop_prob_for(kind)
+        corrupt_prob = cfg.corrupt_prob_for(size_bits)
+        bursty = self._bursty
+        bad_by_key = self._bad
+        to_bad = cfg.ge_good_to_bad
+        to_good = cfg.ge_bad_to_good
+        bad_drop_prob = cfg.ge_bad_drop_prob
+        # Top the block up front with the message's worst case, so the
+        # loop below never checks for exhaustion.
+        per_receiver = 3 if bursty else (drop_prob > 0.0) + (corrupt_prob > 0.0)
+        need = per_receiver * len(keys)
+        block = self._block
+        pos = self._pos
+        if len(block) - pos < need:
+            block = self._block = block[pos:] + self.stream.uniform_block(
+                max(_BLOCK, need)
+            )
+            pos = 0
         stats = self.stats
-        stats.judged += 1
-        drop_prob = cfg.drop_prob_for(message.kind)
-        if self._bursty:
-            bad = self._bad.get(receiver_key, False)
-            if bad:
-                if self.stream.bernoulli(cfg.ge_bad_to_good):
-                    bad = False
-            elif self.stream.bernoulli(cfg.ge_good_to_bad):
-                bad = True
-                stats.bursts += 1
-            self._bad[receiver_key] = bad
-            if bad:
-                drop_prob = cfg.ge_bad_drop_prob
-        if drop_prob > 0.0 and self.stream.bernoulli(drop_prob):
-            stats.dropped += 1
-            stats.dropped_bits += message.size_bits
-            kinds = stats.dropped_by_kind
-            kinds[message.kind] = kinds.get(message.kind, 0) + 1
-            return Fate.DROP
-        corrupt_prob = cfg.corrupt_prob_for(message.size_bits)
-        if corrupt_prob > 0.0 and self.stream.bernoulli(corrupt_prob):
-            stats.corrupted += 1
-            stats.corrupted_bits += message.size_bits
-            kinds = stats.corrupted_by_kind
-            kinds[message.kind] = kinds.get(message.kind, 0) + 1
-            return Fate.CORRUPT
-        return Fate.DELIVER
+        judged = bursts = dropped = corrupted = 0
+        dropped_bits = stats.dropped_bits
+        corrupted_bits = stats.corrupted_bits
+        deliver = Fate.DELIVER
+        fates: List[Fate] = []
+        append = fates.append
+        for key in keys:
+            if key is None:
+                append(deliver)
+                continue
+            judged += 1
+            p = drop_prob
+            if bursty:
+                u = block[pos]
+                pos += 1
+                bad = bad_by_key.get(key, False)
+                if bad:
+                    if u < to_good:
+                        bad = False
+                elif u < to_bad:
+                    bad = True
+                    bursts += 1
+                bad_by_key[key] = bad
+                if bad:
+                    p = bad_drop_prob
+            if p > 0.0:
+                u = block[pos]
+                pos += 1
+                if u < p:
+                    dropped += 1
+                    dropped_bits += size_bits
+                    append(Fate.DROP)
+                    continue
+            if corrupt_prob > 0.0:
+                u = block[pos]
+                pos += 1
+                if u < corrupt_prob:
+                    corrupted += 1
+                    corrupted_bits += size_bits
+                    append(Fate.CORRUPT)
+                    continue
+            append(deliver)
+        self._pos = pos
+        stats.judged += judged
+        stats.bursts += bursts
+        if dropped:
+            stats.dropped += dropped
+            stats.dropped_bits = dropped_bits
+            by_kind = stats.dropped_by_kind
+            by_kind[kind] = by_kind.get(kind, 0) + dropped
+        if corrupted:
+            stats.corrupted += corrupted
+            stats.corrupted_bits = corrupted_bits
+            by_kind = stats.corrupted_by_kind
+            by_kind[kind] = by_kind.get(kind, 0) + corrupted
+        return fates

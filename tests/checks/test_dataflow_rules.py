@@ -9,7 +9,9 @@ import time
 from pathlib import Path
 
 from repro.checks.baseline import Baseline
+from repro.checks.dataflow import DRAW_METHODS
 from repro.checks.engine import get_rule, run_checks
+from repro.des import RandomStream
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
@@ -56,6 +58,12 @@ def test_det004_cross_fixture_flags_the_dag_crossing_pass():
 
 def test_det004_clean_fixture_has_no_findings():
     assert _run("det004_clean", "DET004") == []
+
+
+def test_det004_draw_surface_is_every_public_stream_method():
+    # A draw method missing here escapes every DET004 draw check.
+    public = {name for name in dir(RandomStream) if not name.startswith("_")}
+    assert DRAW_METHODS == public - {"name"}
 
 
 # ---------------------------------------------------------------- SVC001

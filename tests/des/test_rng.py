@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.des import RandomStream, RandomStreams
+from repro.des import rng as rng_module
 
 
 class TestDeterminism:
@@ -91,6 +92,28 @@ class TestDistributions:
         with pytest.raises(ValueError):
             stream.bernoulli_mask(-0.1, 10)
 
+    def test_uniform_block_equals_scalar_draws(self):
+        block_stream = RandomStream(17, "block")
+        scalar_stream = RandomStream(17, "block")
+        block = block_stream.uniform_block(300)
+        assert block == [scalar_stream.uniform() for _ in range(300)]
+        assert all(type(u) is float for u in block)
+        # Same generator state afterwards: the next draws agree too.
+        assert (
+            block_stream._gen.bit_generator.state
+            == scalar_stream._gen.bit_generator.state
+        )
+        assert block_stream.uniform_block(5) == [
+            scalar_stream.uniform() for _ in range(5)
+        ]
+        assert block_stream.uniform_block(0) == []
+
+    def test_uniform_block_serves_bernoulli_trials(self):
+        block = RandomStream(18, "trials").uniform_block(200)
+        scalar = RandomStream(18, "trials")
+        p = 0.37
+        assert [u < p for u in block] == [scalar.bernoulli(p) for _ in range(200)]
+
     def test_poisson_at_least_one(self, stream):
         samples = [stream.poisson_at_least_one(5.0) for _ in range(20000)]
         assert min(samples) >= 1
@@ -114,7 +137,32 @@ class TestDistributions:
 
 
 class TestStateMemoization:
-    """Stream creation memoizes initial PCG64 states per (seed, name)."""
+    """Stream creation memoizes PCG64 seed words per (seed, name)."""
+
+    @staticmethod
+    def _reference_state(seed, name):
+        entropy = rng_module._derive_entropy(seed, name)
+        return np.random.PCG64(np.random.SeedSequence(entropy)).state
+
+    def test_miss_hit_and_past_cap_build_the_seedsequence_state(self, monkeypatch):
+        seed, name = 993, "memo-state"
+        key = (seed, name)
+        assert key not in rng_module._WORDS_CACHE
+        miss = RandomStream(seed, name)
+        assert key in rng_module._WORDS_CACHE
+        hit = RandomStream(seed, name)
+        expected = self._reference_state(seed, name)
+        assert miss._gen.bit_generator.state == expected
+        assert hit._gen.bit_generator.state == expected
+        # Past the cap nothing new is cached, and the state is unchanged.
+        monkeypatch.setattr(
+            rng_module, "_WORDS_CACHE_MAX", len(rng_module._WORDS_CACHE)
+        )
+        capped = RandomStream(seed, "memo-capped")
+        assert (seed, "memo-capped") not in rng_module._WORDS_CACHE
+        assert capped._gen.bit_generator.state == self._reference_state(
+            seed, "memo-capped"
+        )
 
     def test_memoized_stream_draws_identically(self):
         # Second construction hits the state cache; the draw sequence
