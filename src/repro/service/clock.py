@@ -14,7 +14,8 @@ every virtual-time campaign byte-reproducible under both kernels.
 
 :func:`with_deadline` is the service's single timeout primitive: it
 races an awaitable against ``clock.sleep(timeout)`` and converts a loss
-into :class:`~repro.service.errors.DeadlineExceeded`.  When both finish
+into :class:`~repro.service.errors.DeadlineExceeded`.  A coroutine that
+finishes on its first step never enters the race.  When both finish
 inside the same scheduling quantum the awaitable wins — a deterministic
 tie-break the virtual-time tests rely on.
 """
@@ -23,7 +24,17 @@ from __future__ import annotations
 
 import asyncio
 import heapq
-from typing import Any, Awaitable, List, Protocol, Tuple, TypeVar
+import types
+from typing import (
+    Any,
+    Awaitable,
+    Coroutine,
+    Generator,
+    List,
+    Protocol,
+    Tuple,
+    TypeVar,
+)
 
 from ..des._backend import heap_kind
 from ..des.soa_heap import EventHeap
@@ -197,20 +208,64 @@ async def _drain_loop() -> None:
             return
 
 
+@types.coroutine
+def _resume(
+    coro: Coroutine[Any, Any, T], yielded: Any
+) -> Generator[Any, Any, T]:
+    """Finish *coro*, whose first step already ran and yielded *yielded*.
+
+    A task steps this generator as if it were *coro* itself: its first
+    step hands the task what *coro* yielded, and every later ``send`` or
+    ``throw`` (cancellation included) goes on to *coro*.
+    """
+    while True:
+        try:
+            sent = yield yielded
+        except BaseException as exc:
+            try:
+                yielded = coro.throw(exc)
+            except StopIteration as stop:
+                return stop.value  # type: ignore[no-any-return]
+        else:
+            try:
+                yielded = coro.send(sent)
+            except StopIteration as stop:
+                return stop.value  # type: ignore[no-any-return]
+
+
 async def with_deadline(
     clock: Clock, awaitable: Awaitable[T], timeout: float | None
 ) -> T:
     """Await *awaitable*, but give up after *timeout* clock seconds.
 
-    On timeout the inner task is cancelled (and awaited, so its cleanup
-    runs) and :class:`DeadlineExceeded` raises.  When both the awaitable
-    and the timer complete in the same scheduling quantum the awaitable's
-    result wins — a deterministic preference, not a race.
+    A coroutine takes its first step inline, in the caller's task,
+    before anything is armed.  If that step completes, its value or
+    exception is the outcome, with no task, timer or loop turn: a
+    dependency call that never suspends does not yield to the loop,
+    just as an L1 hit does not.  The race could not have gone otherwise,
+    since the timer is armed only after the awaitable's first step.
+
+    If the step suspends, the started coroutine is handed to a racer
+    task that resumes it, and it races ``clock.sleep(timeout)``.  A
+    ``Future`` or ``Task`` races as itself, so a timeout cancels that
+    very future.  On timeout the racer is cancelled (and awaited, so its
+    cleanup runs) and :class:`DeadlineExceeded` raises.  When both the
+    awaitable and the timer complete in the same scheduling quantum the
+    awaitable's result wins — a deterministic preference, not a race.
     """
     if timeout is None:
         return await awaitable
+    if asyncio.iscoroutine(awaitable):
+        try:
+            yielded = awaitable.send(None)
+        except StopIteration as done:
+            return done.value  # type: ignore[no-any-return]
+        task: asyncio.Future[T] = asyncio.ensure_future(
+            _resume(awaitable, yielded)
+        )
+    else:
+        task = asyncio.ensure_future(awaitable)
     loop = asyncio.get_running_loop()
-    task = asyncio.ensure_future(awaitable)
     timer = asyncio.ensure_future(clock.sleep(timeout))
     gate: asyncio.Future[None] = loop.create_future()
 

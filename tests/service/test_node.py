@@ -6,6 +6,7 @@ import pytest
 
 from repro.service import (
     CacheNode,
+    DeadlineExceeded,
     FetchResult,
     InMemoryBackend,
     InMemoryBroker,
@@ -275,5 +276,53 @@ def test_context_manager_lifecycle():
             assert node._started
         assert not node._started
         assert node.broker.broker_subscriber_count() == 0
+
+    run(main())
+
+
+def test_l2_misses_on_a_never_suspending_backend_arm_no_timers():
+    """A latency-0 L2 fetch finishes on its first step, so its attempt
+    deadline is never armed: no cancelled-timer tombstone per miss."""
+
+    async def main():
+        params = ServiceParams(
+            broadcast_interval=20.0, db_size=200, cache_capacity=16, seed=7
+        )
+        clock, origin, backend, node = build(params=params)
+        await node.start()
+        await clock.advance(0.0)
+        timers = clock.pending_timers
+        answers = [await node.get(item) for item in range(100)]
+        await clock.advance(0.0)
+        assert clock.pending_timers == timers
+        assert {a.source for a in answers} == {"l2"}
+        assert backend.fetches == 100
+        await node.stop()
+
+    run(main())
+
+
+def test_slow_backend_still_retries_then_fails_on_the_deadline():
+    class CountingBackend(InMemoryBackend):
+        calls = 0
+
+        async def backend_fetch(self, item):
+            self.calls += 1
+            return await super().backend_fetch(item)
+
+    def wrap(inner, clock):
+        return CountingBackend(inner.origin, latency=1.0)
+
+    async def main():
+        clock, origin, backend, node = build(backend_wrap=wrap)
+        await node.start()
+        with pytest.raises(DeadlineExceeded):
+            await clock.drive(node.get(3))
+        # Two attempts, each cut at attempt_timeout, one backoff between.
+        assert backend.calls == FAST_RETRY.attempts == 2
+        assert backend.fetches == 0
+        assert clock.now() == pytest.approx(0.5 + 0.05 + 0.5)
+        assert node.metrics.get("get.l2_failures") == 1
+        await node.stop()
 
     run(main())
