@@ -18,7 +18,7 @@ import platform
 import sys
 import time
 
-from repro.des._backend import heap_kind, kernel_backend
+from repro.des._backend import kernel_backend
 
 #: Bump when the JSON layout changes incompatibly.
 SCHEMA_VERSION = 1
@@ -60,7 +60,6 @@ def baseline_envelope(kind: str, results: dict, config: dict) -> dict:
             "machine": platform.machine(),
             "system": platform.system(),
             "kernel_backend": kernel_backend(),
-            "kernel_heap": heap_kind(),
         },
         "results": results,
         "notes": (

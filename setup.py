@@ -14,7 +14,7 @@ default build stays pure python — mypy/mypyc is only needed when the
 flag is set (CI's ``compiled-smoke`` job exercises it).  At runtime the
 compiled extensions shadow the ``.py`` sources transparently;
 ``REPRO_PURE_PYTHON=1`` forces the sources back (see
-``repro/_backend.py`` and ``repro/_purity.py``).
+``repro/des/_backend.py`` and ``repro/_purity.py``).
 """
 
 import os
@@ -39,7 +39,6 @@ MYPYC_MODULES = [
     "src/repro/des/process.py",
     "src/repro/des/queues.py",
     "src/repro/des/resource.py",
-    "src/repro/des/soa_heap.py",
     "src/repro/cache/client_cache.py",
     "src/repro/cache/lru.py",
     "src/repro/reports/amnesic.py",

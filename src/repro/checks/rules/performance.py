@@ -1,19 +1,9 @@
-"""PERF001: hot-path layout invariants (``__slots__``, sift allocation).
+"""PERF001: hot-path classes must declare ``__slots__``.
 
 PR 3's profile-driven optimisation pass gave the per-event / per-message
 / per-cache-entry classes ``__slots__`` (docs/PERFORMANCE.md inventories
 the hot modules).  Losing the declaration is silent — the class still
 works, just slower and fatter — so the regression is guarded statically.
-
-The struct-of-arrays event heap added the second invariant: its sift
-hot paths (``push``/``pop``/``_sift*`` in :mod:`repro.des.soa_heap`,
-``_push_key``/``_pop_key`` in :mod:`repro.des.queues`) are index
-arithmetic over parallel primitive arrays *by design* — a tuple or list
-literal creeping in reintroduces the per-event boxing the SoA layout
-exists to eliminate (and defeats mypyc's unboxing in the compiled
-build).  The one sanctioned container is the single result tuple that
-hands a freed payload slot back to the caller, suppressed inline where
-it occurs.
 """
 
 from __future__ import annotations
@@ -94,43 +84,6 @@ def _dataclass_with_slots(cls: ast.ClassDef) -> bool:
     return False
 
 
-#: Modules holding hand-written heap sifts over parallel arrays.
-_SIFT_MODULES = ("repro/des/soa_heap.py", "repro/des/queues.py")
-
-#: Function names that are sift hot paths in those modules.
-_SIFT_FUNC_NAMES = frozenset({"push", "pop", "_push_key", "_pop_key"})
-
-#: Container-literal nodes that allocate per call/iteration.
-_CONTAINER_NODES = (ast.Tuple, ast.List, ast.Set, ast.Dict, ast.ListComp)
-
-
-def _is_sift_function(node: ast.FunctionDef) -> bool:
-    return node.name in _SIFT_FUNC_NAMES or "sift" in node.name
-
-
-def _container_literals(fn: ast.FunctionDef) -> Iterable[ast.expr]:
-    """Tuple/list/set/dict literals in *fn*, skipping annotations.
-
-    ``ast.Tuple`` in a Store context (``a, b = ...`` unpacking) compiles
-    to plain stack shuffling, not an allocation, so only Load-context
-    tuples count.  Annotations (``Tuple[float, int, Any]`` et al.) are
-    type expressions, not runtime allocations, and are skipped.
-    """
-    skip = set()
-    for node in ast.walk(fn):
-        annotation = getattr(node, "annotation", None) or getattr(
-            node, "returns", None
-        )
-        if annotation is not None:
-            skip.update(id(sub) for sub in ast.walk(annotation))
-    for node in ast.walk(fn):
-        if id(node) in skip or not isinstance(node, _CONTAINER_NODES):
-            continue
-        if isinstance(node, ast.Tuple) and not isinstance(node.ctx, ast.Load):
-            continue
-        yield node
-
-
 def _is_exempt(cls: ast.ClassDef) -> bool:
     for base in cls.bases:
         name = _base_name(base)
@@ -171,23 +124,4 @@ class SlotsRule(Rule):
                     "classes need an explicit __slots__ = () too",
                 )
             )
-        if module.path in _SIFT_MODULES:
-            findings.extend(self._check_sift_allocations(module))
         return findings
-
-    def _check_sift_allocations(self, module: ModuleInfo) -> Iterable[Finding]:
-        """Flag container literals in the heap sift hot paths."""
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.FunctionDef):
-                continue
-            if not _is_sift_function(node):
-                continue
-            for literal in _container_literals(node):
-                kind = type(literal).__name__.lower()
-                yield self.finding(
-                    module,
-                    literal.lineno,
-                    f"{kind} literal in sift hot path {node.name}(): the "
-                    "SoA heap sifts must stay index arithmetic over the "
-                    "parallel primitive arrays (no per-event boxing)",
-                )

@@ -5,7 +5,7 @@ doubles as a compilation boundary: ``REPRO_COMPILE=1 pip install .``
 builds it with mypyc (see ``setup.py``), producing extension modules
 that shadow the ``.py`` sources.  At runtime nothing changes for
 callers — the import system prefers the extensions when present and
-falls back to source otherwise — but two knobs steer the choice:
+falls back to source otherwise — but one knob steers the choice:
 
 ``REPRO_PURE_PYTHON=1``
     Force the interpreted sources even when compiled extensions are
@@ -13,15 +13,6 @@ falls back to source otherwise — but two knobs steer the choice:
     any tier module loads).  The two builds are bit-identical on every
     golden; this switch exists for debugging, for perf A/B runs and for
     the CI equivalence matrix.
-
-``REPRO_KERNEL=soa|tuple|auto``
-    Select the event-heap implementation inside ``Environment``:
-    the struct-of-arrays heap (:mod:`repro.des.soa_heap`) or the
-    tuple + C-``heapq`` heap.  ``auto`` (default) picks SoA when the
-    kernel tier is compiled — where unboxed index arithmetic wins —
-    and tuples under the interpreter, where C ``heapq`` wins.  Forcing
-    ``soa`` interpreted is supported so the equivalence suites can pin
-    both heaps bit-identical without a compiler in the loop.
 
 This module must stay interpreted (it is excluded from the mypyc build)
 so the selection logic runs before — and independently of — whatever it
@@ -37,7 +28,7 @@ import os
 import sys
 from typing import Optional
 
-__all__ = ["compiled_active", "heap_kind", "kernel_backend", "pure_python_forced"]
+__all__ = ["compiled_active", "kernel_backend", "pure_python_forced"]
 
 _compiled_active: Optional[bool] = None
 
@@ -65,14 +56,3 @@ def kernel_backend() -> str:
     """``"compiled"`` or ``"pure"`` — for telemetry and baselines."""
     return "compiled" if compiled_active() else "pure"
 
-
-def heap_kind() -> str:
-    """``"soa"`` or ``"tuple"`` — the event heap Environment should use."""
-    forced = os.environ.get("REPRO_KERNEL", "auto").strip().lower()
-    if forced in ("soa", "tuple"):
-        return forced
-    if forced not in ("", "auto"):
-        raise ValueError(
-            f"REPRO_KERNEL={forced!r}: expected 'soa', 'tuple' or 'auto'"
-        )
-    return "soa" if compiled_active() else "tuple"

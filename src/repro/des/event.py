@@ -110,10 +110,7 @@ class Event:
         self._value = value
         env = self.env
         env._eid = eid = env._eid + 1
-        if env._soa is None:
-            heappush(env._heap, (env._now, priority, eid, self))
-        else:
-            env._soa.push(env._now, priority, eid, self)
+        heappush(env._heap, (env._now, priority, eid, self))
         return self
 
     def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
@@ -130,10 +127,7 @@ class Event:
         self._value = exception
         env = self.env
         env._eid = eid = env._eid + 1
-        if env._soa is None:
-            heappush(env._heap, (env._now, priority, eid, self))
-        else:
-            env._soa.push(env._now, priority, eid, self)
+        heappush(env._heap, (env._now, priority, eid, self))
         return self
 
     def _mark_processed(self) -> None:
@@ -170,10 +164,7 @@ class Timeout(Event):
         self._proc = None
         self.delay = delay
         env._eid = eid = env._eid + 1
-        if env._soa is None:
-            heappush(env._heap, (env._now + delay, priority, eid, self))
-        else:
-            env._soa.push(env._now + delay, priority, eid, self)
+        heappush(env._heap, (env._now + delay, priority, eid, self))
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay} at {id(self):#x}>"

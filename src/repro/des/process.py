@@ -83,10 +83,7 @@ class Process(Event):
         # still reports "not suspended".
         env._eid = eid = env._eid + 1
         wake.eid = eid
-        if env._soa is None:
-            heappush(env._heap, (env._now, URGENT, eid, wake))
-        else:
-            env._soa.push(env._now, URGENT, eid, wake)
+        heappush(env._heap, (env._now, URGENT, eid, wake))
 
     def __repr__(self) -> str:
         return f"<Process {self.name!r} at {id(self):#x}>"
@@ -221,9 +218,6 @@ class Process(Event):
             wake.eid = eid
             # The wake token ducks as the target event (see _Wakeup).
             self._target = wake  # type: ignore[assignment]
-            if env._soa is None:
-                heappush(env._heap, (env._now + next_target, NORMAL, eid, wake))
-            else:
-                env._soa.push(env._now + next_target, NORMAL, eid, wake)
+            heappush(env._heap, (env._now + next_target, NORMAL, eid, wake))
             env._active_process = None
             return

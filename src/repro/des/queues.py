@@ -7,10 +7,10 @@ lets consumers wait for items matching a predicate.
 
 Hot-path notes: ``Store._trigger`` runs once per put/get and inlines the
 event-succeed heap push (property-free slot access), and
-:class:`PriorityStore` keeps its heap as parallel primitive key arrays —
-``(priority, seq)`` floats/ints sifted with index arithmetic — instead of
-heap-sorting rich objects.  Both preserve the exact event order of the
-straightforward implementations (kernel golden tests).
+:class:`PriorityStore` heap-sorts ``(priority, seq, item)`` key tuples
+under the C ``heapq`` instead of rich item comparisons.  Both preserve
+the exact event order of the straightforward implementations (kernel
+golden tests).
 """
 
 from __future__ import annotations
@@ -53,10 +53,7 @@ class StorePut(Event):
             self._ok = True
             self._value = None
             env._eid = eid = env._eid + 1
-            if env._soa is None:
-                heappush(env._heap, (env._now, NORMAL, eid, self))
-            else:
-                env._soa.push(env._now, NORMAL, eid, self)
+            heappush(env._heap, (env._now, NORMAL, eid, self))
             if store._get_queue:
                 store._serve_gets()
         else:
@@ -90,10 +87,7 @@ class StoreGet(Event):
             self._ok = True
             self._value = item
             env._eid = eid = env._eid + 1
-            if env._soa is None:
-                heappush(env._heap, (env._now, NORMAL, eid, self))
-            else:
-                env._soa.push(env._now, NORMAL, eid, self)
+            heappush(env._heap, (env._now, NORMAL, eid, self))
             if store._put_queue:
                 store._serve_puts()
         else:
@@ -204,10 +198,7 @@ class Store:
             get_event._ok = True
             get_event._value = item
             env._eid = eid = env._eid + 1
-            if env._soa is None:
-                heappush(env._heap, (env._now, NORMAL, eid, get_event))
-            else:
-                env._soa.push(env._now, NORMAL, eid, get_event)
+            heappush(env._heap, (env._now, NORMAL, eid, get_event))
             get_queue.pop(idx)
 
     def _serve_puts(self) -> None:
@@ -234,10 +225,7 @@ class Store:
             put_event._ok = True
             put_event._value = None
             env._eid = eid = env._eid + 1
-            if env._soa is None:
-                heappush(env._heap, (env._now, NORMAL, eid, put_event))
-            else:
-                env._soa.push(env._now, NORMAL, eid, put_event)
+            heappush(env._heap, (env._now, NORMAL, eid, put_event))
             put_queue.pop(idx)
 
     def _trigger(self) -> None:
@@ -269,10 +257,7 @@ class Store:
                     put_event._ok = True
                     put_event._value = None
                     env._eid = eid = env._eid + 1
-                    if env._soa is None:
-                        heappush(env._heap, (env._now, NORMAL, eid, put_event))
-                    else:
-                        env._soa.push(env._now, NORMAL, eid, put_event)
+                    heappush(env._heap, (env._now, NORMAL, eid, put_event))
                     put_queue.pop(idx)
                     progress = True
                 else:
@@ -289,10 +274,7 @@ class Store:
                     get_event._ok = True
                     get_event._value = item
                     env._eid = eid = env._eid + 1
-                    if env._soa is None:
-                        heappush(env._heap, (env._now, NORMAL, eid, get_event))
-                    else:
-                        env._soa.push(env._now, NORMAL, eid, get_event)
+                    heappush(env._heap, (env._now, NORMAL, eid, get_event))
                     get_queue.pop(idx)
                     progress = True
                 else:
@@ -341,46 +323,31 @@ class PriorityStore(Store):
 
     Internally items sort by a primitive ``(priority, seq)`` key —
     PriorityItems key as ``(priority, seq)``, bare numbers as
-    ``(value, 0)`` — never by rich item comparisons.  The key heap's
-    representation follows the environment's heap backend: under the
-    struct-of-arrays backend, ``_kprio``/``_kseq`` hold the keys in
-    parallel with the payloads in ``items`` and the sifts replicate
-    CPython's ``heapq`` decisions over those primitives (index
-    arithmetic, unboxed once compiled); under the tuple backend the C
-    ``heapq`` sifts ``(priority, seq, payload)`` tuples — the faster
-    trade interpreted.  Both make the same comparison decisions (a key
-    tie compares payloads, which PriorityItem equates by the same key),
-    so the heap arrangement and pop order — ties included — are
-    bit-identical to each other and to heap-sorting the items
-    themselves.  Other orderables drop to a C-``heapq`` fallback over
-    ``items`` directly (they have no primitive key), chosen per store
-    by its first item — the representations never mix, just as items
-    of unrelated types were never mutually orderable before.
+    ``(value, 0)`` — never by rich item comparisons: the C ``heapq``
+    sifts ``(priority, seq, payload)`` tuples.  A full key tie compares
+    payloads, which PriorityItem equates by the same key, so the heap
+    arrangement and pop order — ties included — are bit-identical to
+    heap-sorting the items themselves.  Other orderables drop to a
+    C-``heapq`` fallback over ``items`` directly (they have no primitive
+    key), chosen per store by its first item — the representations
+    never mix, just as items of unrelated types were never mutually
+    orderable before.
     """
 
-    __slots__ = ("_kprio", "_kseq", "_generic", "_tuples")
+    __slots__ = ("_generic",)
 
     def __init__(self, env: Environment, capacity: float = Infinity) -> None:
         super().__init__(env, capacity)
-        self._kprio: List[float] = []
-        self._kseq: List[int] = []
         self._generic = False
-        self._tuples = env._soa is None
 
     def _store_item(self, item: Any) -> None:
         cls = type(item)
         if not self._generic:
             if cls is PriorityItem:
-                if self._tuples:
-                    heapq.heappush(self.items, (item.priority, item.seq, item))
-                else:
-                    self._push_key(item.priority, item.seq, item)
+                heapq.heappush(self.items, (item.priority, item.seq, item))
                 return
             if cls is int or cls is float or isinstance(item, (int, float)):
-                if self._tuples:
-                    heapq.heappush(self.items, (item, 0, item))
-                else:
-                    self._push_key(item, 0, item)
+                heapq.heappush(self.items, (item, 0, item))
                 return
             if self.items:
                 raise TypeError(
@@ -392,94 +359,13 @@ class PriorityStore(Store):
     def _take_item(self, event: StoreGet) -> Any:
         if self._generic:
             return heapq.heappop(self.items)
-        if self._tuples:
-            return heapq.heappop(self.items)[2]
-        return self._pop_key()
+        return heapq.heappop(self.items)[2]
 
     def peek(self) -> Any:
         """Smallest stored item without removing it (IndexError if empty)."""
-        if self._tuples and not self._generic:
-            return self.items[0][2]
-        return self.items[0]
-
-    # -- struct-of-arrays key heap -------------------------------------------
-
-    def _push_key(self, kprio: float, kseq: int, item: Any) -> None:
-        """Append ``(kprio, kseq)``/*item* and sift it toward the root.
-
-        Mirrors ``heapq.heappush`` + ``_siftdown``: move the new entry up
-        while *strictly* smaller than its parent (equal keys stay put, so
-        ties arrange exactly as heapq arranges equal items).
-        """
-        kprios = self._kprio
-        kseqs = self._kseq
-        items = self.items
-        pos = len(kprios)
-        kprios.append(kprio)
-        kseqs.append(kseq)
-        items.append(item)
-        while pos > 0:
-            parent = (pos - 1) >> 1
-            pprio = kprios[parent]
-            if kprio > pprio or (kprio == pprio and kseq >= kseqs[parent]):
-                break
-            kprios[pos] = pprio
-            kseqs[pos] = kseqs[parent]
-            items[pos] = items[parent]
-            pos = parent
-        kprios[pos] = kprio
-        kseqs[pos] = kseq
-        items[pos] = item
-
-    def _pop_key(self) -> Any:
-        """Remove and return the payload of the minimum key.
-
-        Mirrors ``heapq.heappop`` + ``_siftup``: walk the root hole down
-        along the smaller child to a leaf (on full key ties heapq takes
-        the *right* child — its test is ``not left < right``), place the
-        displaced last entry there, then sift it back up.
-        """
-        kprios = self._kprio
-        kseqs = self._kseq
-        items = self.items
-        last_prio = kprios.pop()
-        last_seq = kseqs.pop()
-        last_item = items.pop()
-        if not kprios:
-            return last_item
-        result = items[0]
-        end = len(kprios)
-        pos = 0
-        child = 1
-        while child < end:
-            right = child + 1
-            if right < end:
-                cprio = kprios[child]
-                rprio = kprios[right]
-                if cprio > rprio or (
-                    cprio == rprio and kseqs[child] >= kseqs[right]
-                ):
-                    child = right
-            kprios[pos] = kprios[child]
-            kseqs[pos] = kseqs[child]
-            items[pos] = items[child]
-            pos = child
-            child = 2 * pos + 1
-        while pos > 0:
-            parent = (pos - 1) >> 1
-            pprio = kprios[parent]
-            if last_prio > pprio or (
-                last_prio == pprio and last_seq >= kseqs[parent]
-            ):
-                break
-            kprios[pos] = pprio
-            kseqs[pos] = kseqs[parent]
-            items[pos] = items[parent]
-            pos = parent
-        kprios[pos] = last_prio
-        kseqs[pos] = last_seq
-        items[pos] = last_item
-        return result
+        if self._generic:
+            return self.items[0]
+        return self.items[0][2]
 
 
 class FilterStore(Store):

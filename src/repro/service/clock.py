@@ -5,12 +5,10 @@ backoff, breaker reset windows, the IR watchdog — sleeps through a
 :class:`Clock`, never through ``asyncio.sleep`` directly.  Production
 uses :class:`WallClock` (the running loop's monotonic time);
 tests and benchmarks use :class:`VirtualClock`, which stores pending
-sleeps in the same ``(when, priority, eid)``-ordered event heap the DES
-kernel uses (tuple ``heapq`` or the struct-of-arrays
-:class:`repro.des.soa_heap.EventHeap`, chosen by ``REPRO_KERNEL`` — see
-:func:`repro.des._backend.heap_kind`) and fires them when the driver
-calls :meth:`VirtualClock.advance`.  The heap's strict total order makes
-every virtual-time campaign byte-reproducible under both kernels.
+sleeps in a C-``heapq`` list of ``(when, eid, future)`` tuples — the
+DES kernel's heap discipline — and fires them when the driver calls
+:meth:`VirtualClock.advance`.  The heap's strict total order makes
+every virtual-time campaign byte-reproducible.
 
 :func:`with_deadline` is the service's single timeout primitive: it
 races an awaitable against ``clock.sleep(timeout)`` and converts a loss
@@ -36,8 +34,6 @@ from typing import (
     TypeVar,
 )
 
-from ..des._backend import heap_kind
-from ..des.soa_heap import EventHeap
 from .errors import DeadlineExceeded
 
 __all__ = ["Clock", "VirtualClock", "WallClock", "with_deadline"]
@@ -84,15 +80,11 @@ class VirtualClock:
     the clock (``asyncio.sleep(0)`` yields are fine).
     """
 
-    __slots__ = ("_now", "_eid", "_soa", "_heap")
+    __slots__ = ("_now", "_eid", "_heap")
 
     def __init__(self, start: float = 0.0) -> None:
         self._now = start
         self._eid = 0
-        # Same backend split as repro.des.Environment: the SoA heap when
-        # the compiled tier is active, the C-accelerated tuple heap
-        # otherwise.  Both pop in identical (when, eid) order.
-        self._soa: EventHeap | None = EventHeap() if heap_kind() == "soa" else None
         self._heap: List[_TimerEntry] = []
 
     def now(self) -> float:
@@ -101,7 +93,7 @@ class VirtualClock:
     @property
     def pending_timers(self) -> int:
         """Number of scheduled (possibly cancelled) sleeps."""
-        return len(self._soa) if self._soa is not None else len(self._heap)
+        return len(self._heap)
 
     async def sleep(self, delay: float) -> None:
         if delay < 0:
@@ -113,25 +105,11 @@ class VirtualClock:
             return
         fut: asyncio.Future[None] = loop.create_future()
         self._eid += 1
-        when = self._now + delay
-        if self._soa is not None:
-            self._soa.push(when, 0, self._eid, fut)
-        else:
-            heapq.heappush(self._heap, (when, self._eid, fut))
+        heapq.heappush(self._heap, (self._now + delay, self._eid, fut))
         await fut
 
     def _peek_when(self) -> float | None:
-        if self._soa is not None:
-            return self._soa.peek_when() if len(self._soa) else None
         return self._heap[0][0] if self._heap else None
-
-    def _pop(self) -> Tuple[float, "asyncio.Future[None]"]:
-        if self._soa is not None:
-            when, _eid, payload = self._soa.pop()
-            fut: asyncio.Future[None] = payload
-            return when, fut
-        when, _eid, fut = heapq.heappop(self._heap)
-        return when, fut
 
     async def advance(self, dt: float) -> None:
         """Move time forward by *dt*, firing due timers in heap order.
@@ -149,7 +127,7 @@ class VirtualClock:
             when = self._peek_when()
             if when is None or when > target:
                 break
-            fired_when, fut = self._pop()
+            fired_when, _eid, fut = heapq.heappop(self._heap)
             # A cancelled sleep (its waiter lost a with_deadline race or
             # its task was torn down) is a tombstone: drop it unfired.
             if fut.cancelled():

@@ -93,8 +93,8 @@ class SimulationResult:
 
     ``raw`` holds the flattened collector snapshot; the named properties
     expose the metrics the paper's figures plot.  Values are floats for
-    metrics proper plus a few string-valued identity keys
-    (``kernel.backend``, ``kernel.heap``), hence ``Any``.
+    metrics proper plus the string-valued identity key
+    ``kernel.backend``, hence ``Any``.
     """
 
     scheme: str

@@ -324,11 +324,10 @@ class SimulationModel:
         # Kernel telemetry: lets the perf benches compute events/second
         # without reaching into Environment internals.
         result.raw["kernel.events_scheduled"] = float(self.env.scheduled_events)
-        # Backend identity (strings, not metrics): which build of the kernel
-        # tier ran and which heap held the schedule.  Excluded from
-        # fault-equivalence comparisons alongside the other kernel.* keys.
+        # Backend identity (a string, not a metric): which build of the
+        # kernel tier ran.  Excluded from fault-equivalence comparisons
+        # alongside the other kernel.* keys.
         result.raw["kernel.backend"] = kernel_backend()
-        result.raw["kernel.heap"] = self.env.heap_kind
         # Channel telemetry joins the raw snapshot.
         result.raw["downlink.utilization"] = self.downlink.stats.utilization(
             self.env.now

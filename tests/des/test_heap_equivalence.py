@@ -1,88 +1,29 @@
-"""Differential tests: the SoA event heap against a reference ``heapq``.
+"""The kernel's heap orderings against executable specifications.
 
-The two heap backends (struct-of-arrays :class:`~repro.des.soa_heap.EventHeap`
-and the tuple + C-``heapq`` list) must yield bit-identical pop sequences
-for every schedule the kernel can produce — that is what lets
-``REPRO_KERNEL`` switch backends without re-pinning a single golden.
-These tests replay random schedules against CPython's ``heapq`` as the
-executable specification, at three levels:
+The schedule is one ``(when, priority, eid, payload)`` tuple heap under
+CPython's ``heapq``; ``(when, priority, eid)`` is a strict total order.
+These tests replay random inputs and compare what the kernel does with
+an order computed independently in the test:
 
-* the bare heap (interleaved pushes/pops, duplicate ``(when, prio)``
-  keys resolved by the unique eid tie-break);
 * the dispatch layer's cancellation protocol (stale wakeup entries
   skipped by eid generation — the heap itself has no tombstones);
-* :class:`~repro.des.queues.PriorityStore`'s keyed sifts, where full key
-  ties ARE possible and must arrange exactly as heapq arranges them.
+* :class:`~repro.des.queues.PriorityStore`'s keyed heap, where full key
+  ties ARE possible and must arrange exactly as heapq arranges the
+  items themselves.
 """
 
 import heapq
-import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.des import Environment, PriorityItem, PriorityStore
-from repro.des.soa_heap import EventHeap
+from repro.des import Environment, Interrupt, PriorityItem, PriorityStore
 
-# Small value pools force (when, prio) collisions so the eid tie-break
-# actually decides orderings instead of almost never firing.
+# Small value pools force time collisions so the eid tie-break actually
+# decides orderings instead of almost never firing.
 whens = st.floats(min_value=0.0, max_value=4.0, allow_nan=False, width=16)
-prios = st.sampled_from([0, 1, 5, 9])
 
-
-@st.composite
-def schedule_ops(draw):
-    """A mixed push/pop script; pushes carry unique eids like the kernel."""
-    ops = []
-    n = draw(st.integers(min_value=1, max_value=80))
-    eid = itertools.count(1)
-    for _ in range(n):
-        if draw(st.booleans()):
-            ops.append(("push", draw(whens), draw(prios), next(eid)))
-        else:
-            ops.append(("pop",))
-    return ops
-
-
-@given(ops=schedule_ops())
-@settings(max_examples=200)
-def test_event_heap_matches_heapq_reference(ops):
-    soa = EventHeap()
-    ref = []
-    for op in ops:
-        if op[0] == "push":
-            _, when, prio, eid = op
-            payload = ("payload", eid)
-            soa.push(when, prio, eid, payload)
-            heapq.heappush(ref, (when, prio, eid, payload))
-        elif ref:
-            when, _prio, eid, payload = heapq.heappop(ref)
-            assert soa.peek_when() == when
-            assert soa.pop() == (when, eid, payload)
-        else:
-            assert not soa and len(soa) == 0
-    # Drain: the full remaining sequence must agree too.
-    while ref:
-        when, _prio, eid, payload = heapq.heappop(ref)
-        assert soa.pop() == (when, eid, payload)
-    assert not soa
-
-
-@given(ops=schedule_ops())
-@settings(max_examples=100)
-def test_event_heap_recycles_payload_slots(ops):
-    """The slot list is bounded by the peak number of pending entries."""
-    soa = EventHeap()
-    pending = peak = 0
-    for op in ops:
-        if op[0] == "push":
-            soa.push(op[1], op[2], op[3], None)
-            pending += 1
-            peak = max(peak, pending)
-        elif pending:
-            soa.pop()
-            pending -= 1
-    assert soa.slots_allocated == peak
+CANCEL_AT = 0.5
 
 
 @given(
@@ -91,38 +32,83 @@ def test_event_heap_recycles_payload_slots(ops):
     )
 )
 @settings(max_examples=100)
-def test_cancelled_sleeps_skip_identically_on_both_backends(delays):
+def test_cancelled_sleeps_match_specified_order(delays):
     """Cancellation is dispatch-level: interrupting a sleeping process
     disarms its wakeup token and the stale heap entry is skipped on pop.
-    Both backends must observe the identical resume/interrupt trace."""
 
-    def run(kind):
-        env = Environment()
-        env._soa = EventHeap() if kind == "soa" else None
-        trace = []
+    Sleeper ``i`` sleeps ``d_i``; a canceller started after all sleepers
+    wakes at ``CANCEL_AT`` and interrupts every flagged sleeper still
+    asleep, in process order.  Sleeps due at ``<= CANCEL_AT`` win the
+    tie with the canceller (their wake eids are smaller), then the
+    interrupts land in process order, then the remaining wakes in
+    ``(d, i)`` order.  A skipped stale wake still advances the clock to
+    its time, like a callback-less Timeout, so the run ends at the
+    latest sleep whether or not it was cancelled.
+    """
+    env = Environment()
+    trace = []
 
-        def sleeper(env, i, d):
-            try:
-                yield d
-                trace.append(("woke", i, env.now))
-            except Exception:
-                trace.append(("interrupted", i, env.now))
+    def sleeper(env, i, d):
+        try:
+            yield d
+            trace.append(("woke", i, env.now))
+        except Interrupt:
+            trace.append(("interrupted", i, env.now))
 
-        procs = [
-            env.process(sleeper(env, i, d)) for i, (d, _) in enumerate(delays)
-        ]
+    procs = [env.process(sleeper(env, i, d)) for i, (d, _) in enumerate(delays)]
 
-        def canceller(env):
-            yield 0.5
-            for proc, (_, cancel) in zip(procs, delays):
-                if cancel and proc.is_alive and proc.target is not None:
-                    proc.interrupt()
+    def canceller(env):
+        yield CANCEL_AT
+        for proc, (_, cancel) in zip(procs, delays):
+            if cancel and proc.is_alive and proc.target is not None:
+                proc.interrupt()
 
-        env.process(canceller(env))
-        env.run()
-        return trace, env.now, env.scheduled_events
+    env.process(canceller(env))
+    env.run()
 
-    assert run("tuple") == run("soa")
+    early = sorted((d, i) for i, (d, _) in enumerate(delays) if d <= CANCEL_AT)
+    cancelled = [
+        i for i, (d, cancel) in enumerate(delays) if d > CANCEL_AT and cancel
+    ]
+    late = sorted(
+        (d, i)
+        for i, (d, cancel) in enumerate(delays)
+        if d > CANCEL_AT and not cancel
+    )
+    assert trace == (
+        [("woke", i, d) for d, i in early]
+        + [("interrupted", i, CANCEL_AT) for i in cancelled]
+        + [("woke", i, d) for d, i in late]
+    )
+    assert env.now == max([CANCEL_AT] + [d for d, _ in delays])
+    # Per process: kick-off, one sleep, completion; plus one per interrupt.
+    assert env.scheduled_events == 3 * (len(delays) + 1) + len(cancelled)
+
+
+def test_stale_wake_advances_clock():
+    """The skipped wake of an interrupted sleep still moves ``now``."""
+    env = Environment()
+
+    def sleeper(env):
+        try:
+            yield 3.0
+        except Interrupt:
+            pass
+
+    proc = env.process(sleeper(env))
+
+    def canceller(env):
+        yield 1.0
+        proc.interrupt()
+
+    env.process(canceller(env))
+    env.step()  # sleeper kick-off
+    env.step()  # canceller kick-off
+    env.step()  # canceller wakes at 1.0 and interrupts
+    env.step()  # interrupt delivered
+    assert env.now == 1.0
+    env.run()
+    assert env.now == 3.0
 
 
 priority_keys = st.tuples(
@@ -132,39 +118,38 @@ priority_keys = st.tuples(
 
 @given(keys=st.lists(priority_keys, min_size=1, max_size=40))
 @settings(max_examples=200)
-def test_priority_store_soa_sifts_match_heapq_on_ties(keys):
-    """PriorityStore's keyed SoA sifts vs the tuple + C-heapq mode.
-
-    Unlike the event heap, full ``(priority, seq)`` ties are legal here
-    (the kernel never produces them, but the API allows it), so this
-    pins that the hand-written sifts break ties exactly as heapq does —
-    including _siftup's right-child preference on equal keys.
-    """
-
-    def drain(env):
-        store = PriorityStore(env)
-        for i, (prio, seq) in enumerate(keys):
-            store.put_nowait(PriorityItem(priority=prio, seq=seq, item=i))
-        return [store.get().value.item for _ in keys]
-
-    tuple_env = Environment()
-    soa_env = Environment()
-    soa_env._soa = EventHeap()
-    assert drain(tuple_env) == drain(soa_env)
+def test_priority_store_ties_match_heapq(keys):
+    """Full ``(priority, seq)`` ties are legal here (the kernel never
+    produces them, but the API allows it): the store must pop in exactly
+    the order heapq pops the same PriorityItems — including _siftup's
+    right-child preference on equal keys."""
+    env = Environment()
+    store = PriorityStore(env)
+    reference = []
+    for i, (prio, seq) in enumerate(keys):
+        item = PriorityItem(priority=prio, seq=seq, item=i)
+        store.put_nowait(item)
+        heapq.heappush(reference, item)
+    got = [store.get().value.item for _ in keys]
+    assert got == [heapq.heappop(reference).item for _ in keys]
 
 
-@given(values=st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=40))
+@given(
+    values=st.lists(
+        st.sampled_from([0, 1, 2, 0.5, 1.0, 2.0]), min_size=1, max_size=40
+    )
+)
 @settings(max_examples=100)
-def test_priority_store_numeric_payloads_match_across_backends(values):
-    """Duplicate numeric payloads tie on the full key in both modes."""
-
-    def drain(env):
-        store = PriorityStore(env)
-        for v in values:
-            store.put_nowait(v)
-        return [store.get().value for _ in values]
-
-    tuple_env = Environment()
-    soa_env = Environment()
-    soa_env._soa = EventHeap()
-    assert drain(tuple_env) == drain(soa_env)
+def test_priority_store_numeric_payloads_match_heapq(values):
+    """Duplicate numeric payloads (``1`` and ``1.0`` alike) tie on the
+    full key; which object pops first must match heapq over the bare
+    values."""
+    env = Environment()
+    store = PriorityStore(env)
+    reference = []
+    for v in values:
+        store.put_nowait(v)
+        heapq.heappush(reference, v)
+    got = [store.get().value for _ in values]
+    expected = [heapq.heappop(reference) for _ in values]
+    assert [(type(v), v) for v in got] == [(type(v), v) for v in expected]

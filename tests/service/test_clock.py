@@ -1,4 +1,4 @@
-"""VirtualClock: ordering, deadlines, drive(), and the heap backends."""
+"""VirtualClock: ordering, deadlines and drive()."""
 
 import asyncio
 
