@@ -19,7 +19,7 @@ the scheme at the next report — see ``repro.schemes.base``.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import Iterable, List, Optional, Set
 
 from .entry import CacheEntry
 from .lru import LRUCache
@@ -78,6 +78,10 @@ class ClientCache:
     def peek(self, item: int) -> Optional[CacheEntry]:
         """Return the entry without touching LRU recency."""
         return self._lru.peek(item)
+
+    def holds_any(self, items: Iterable[int]) -> bool:
+        """Whether any of *items* is cached (LRU recency untouched)."""
+        return not self._lru.isdisjoint(items)
 
     def insert(self, entry: CacheEntry, suspect: bool = False) -> None:
         """Add a freshly fetched entry (may evict the LRU one).

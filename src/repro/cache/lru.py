@@ -8,7 +8,7 @@ model-check it against a reference implementation.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Generic, Iterator, List, Optional, Tuple, TypeVar
+from typing import Callable, Generic, Iterable, Iterator, List, Optional, Tuple, TypeVar
 
 K = TypeVar("K")
 V = TypeVar("V")
@@ -61,6 +61,10 @@ class LRUCache(Generic[K, V]):
             self.evictions += 1
             if self._on_evict is not None:
                 self._on_evict(old_key, old_value)
+
+    def isdisjoint(self, keys: Iterable[K]) -> bool:
+        """Whether none of *keys* is present (recency untouched)."""
+        return self._data.keys().isdisjoint(keys)
 
     def remove(self, key: K) -> bool:
         """Delete *key* if present; returns whether it was there."""

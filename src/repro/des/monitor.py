@@ -12,7 +12,7 @@ Three collector styles cover the metrics the paper reports:
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional
+from typing import Dict, Optional, Set
 
 
 class Counter:
@@ -195,10 +195,12 @@ class MetricSet:
     without pre-registration; the runner snapshots everything at the end.
     """
 
-    __slots__ = ("counters", "tallies", "levels", "histograms")
+    __slots__ = ("counters", "tallies", "levels", "histograms", "_sparse")
 
     def __init__(self) -> None:
         self.counters: Dict[str, Counter] = {}
+        #: Counters left out of :meth:`snapshot` while they read zero.
+        self._sparse: Set[str] = set()
         self.tallies: Dict[str, Tally] = {}
         self.levels: Dict[str, TimeWeighted] = {}
         self.histograms: Dict[str, Histogram] = {}
@@ -247,8 +249,15 @@ class MetricSet:
     # spellings are aliases of the fetch-or-create accessors — they exist
     # so call sites document that the lookup is deliberately hoisted.
 
-    def bind_counter(self, name: str) -> Counter:
-        """Resolve *name* once; call ``.add()`` on the returned handle."""
+    def bind_counter(self, name: str, sparse: bool = False) -> Counter:
+        """Resolve *name* once; call ``.add()`` on the returned handle.
+
+        A *sparse* counter joins :meth:`snapshot` only once it is
+        non-zero, so binding a rarely touched counter up front adds no
+        zero-valued key to every result.
+        """
+        if sparse:
+            self._sparse.add(name)
         return self.counter(name)
 
     def bind_tally(self, name: str) -> Tally:
@@ -262,8 +271,10 @@ class MetricSet:
     def snapshot(self, now: float) -> Dict[str, float]:
         """Flatten every collector into a ``{name: value}`` dict."""
         out: Dict[str, float] = {}
+        sparse = self._sparse
         for name, c in self.counters.items():
-            out[name] = c.value
+            if c.value or name not in sparse:
+                out[name] = c.value
         for name, t in self.tallies.items():
             out[f"{name}.count"] = t.count
             out[f"{name}.mean"] = t.mean

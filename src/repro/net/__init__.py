@@ -1,7 +1,7 @@
 """Wireless cell network substrate: messages, shared priority channels,
 and deterministic fault injection."""
 
-from .channel import Channel, ChannelStats
+from .channel import Channel, ChannelStats, corrupted_copy
 from .faults import Fate, FaultConfig, FaultModel, FaultStats
 from .intercell import InterCellLink
 from .messages import (
@@ -31,4 +31,5 @@ __all__ = [
     "PRIORITY_DATA",
     "PRIORITY_IR",
     "SERVER_ID",
+    "corrupted_copy",
 ]

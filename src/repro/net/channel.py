@@ -9,7 +9,10 @@ A :class:`Channel` models one direction of the cell's air interface:
   with its remaining bits — this is what lets the server start every
   report at exactly ``i * L`` as the paper's model requires;
 * on completion the message is delivered to every attached receiver
-  (broadcast) or matched by destination (the receivers filter).
+  (broadcast) or matched by destination (the receivers filter);
+* a broadcast kind may instead go to one *intake* call per delivery
+  (:meth:`Channel.on_broadcast`), which walks the listening receivers
+  itself — one invalidation report serves every listener in one loop.
 
 The same class serves as the downlink (server to all clients) and the
 uplink (clients share it toward the server).
@@ -24,9 +27,14 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..des import Environment, Event, Interrupt, PriorityItem, PriorityStore
 from ..des.monitor import TimeWeighted
 from .faults import Fate, FaultModel
-from .messages import BROADCAST, Message, PRIORITY_IR
+from .messages import BROADCAST, Message, MessageKind, PRIORITY_IR
 
 Receiver = Callable[[Message, float], None]
+#: ``intake(message, receivers, fates, now)``: one call per broadcast of
+#: the kind it is registered for (see :meth:`Channel.on_broadcast`).
+Intake = Callable[
+    [Message, Tuple["_Receiver", ...], Optional[List[Fate]], float], None
+]
 
 _attach_order = attrgetter("key")
 
@@ -36,12 +44,21 @@ def _fault_keys(receivers) -> Tuple[Optional[int], ...]:
     return tuple(None if rec.wired else rec.key for rec in receivers)
 
 
+def corrupted_copy(message: Message, now: float) -> Message:
+    """The bit-errored copy of *message* that corrupted receivers decode."""
+    copy = replace(message, corrupted=True)
+    copy.delivered_at = now
+    return copy
+
+
 class _Receiver:
     """One attached delivery callback plus its dispatch metadata."""
 
-    __slots__ = ("callback", "wired", "key", "dest", "listening")
+    __slots__ = ("callback", "wired", "key", "dest", "listening", "owner")
 
-    def __init__(self, callback: Receiver, wired: bool, key: int, dest, listening):
+    def __init__(
+        self, callback: Receiver, wired: bool, key: int, dest, listening, owner
+    ):
         self.callback = callback
         self.wired = wired
         #: Stable identity for fault judgment (Gilbert–Elliott chains are
@@ -52,6 +69,9 @@ class _Receiver:
         #: downlink bookkeeping).
         self.dest = dest
         self.listening = listening
+        #: Opaque object an intake may act on in place of ``callback``
+        #: (None: the intake calls ``callback``).
+        self.owner = owner
 
 
 class ChannelStats:
@@ -116,6 +136,8 @@ class Channel:
         "_listening",
         "_listening_keys",
         "_next_receiver_key",
+        "_intake_kind",
+        "_intake",
         "_seq",
         "_current",
         "_done_events",
@@ -150,6 +172,8 @@ class Channel:
         #: Fault keys of ``_listening`` (valid while it is not None).
         self._listening_keys: Tuple[Optional[int], ...] = ()
         self._next_receiver_key = 0
+        self._intake_kind: Optional[MessageKind] = None
+        self._intake: Optional[Intake] = None
         self._seq = 0
         self._current: Optional[PriorityItem] = None
         self._done_events: dict = {}
@@ -164,7 +188,12 @@ class Channel:
     # -- public API ----------------------------------------------------------
 
     def attach(
-        self, receiver: Receiver, wired: bool = False, dest=None, listening: bool = True
+        self,
+        receiver: Receiver,
+        wired: bool = False,
+        dest=None,
+        listening: bool = True,
+        owner=None,
     ):
         """Register a delivery callback ``receiver(message, now)``.
 
@@ -178,13 +207,14 @@ class Channel:
         air interface (e.g. the server watching its own downlink) and is
         never subjected to fault injection.  ``listening=False`` attaches
         with the radio already powered down (a dozing client handing off
-        to a new cell mid-doze).  Attaching the same callback twice to
-        one channel is an error.
+        to a new cell mid-doze).  *owner* is handed, opaquely, to the
+        broadcast intake (see :meth:`on_broadcast`).  Attaching the same
+        callback twice to one channel is an error.
         """
         if receiver in self._by_cb:
             raise ValueError(f"{receiver!r} is already attached")
         rec = _Receiver(
-            receiver, wired, self._next_receiver_key, dest, bool(listening)
+            receiver, wired, self._next_receiver_key, dest, bool(listening), owner
         )
         self._next_receiver_key += 1
         self._receivers.append(rec)
@@ -226,6 +256,21 @@ class Channel:
         if rec.listening is not listening:
             rec.listening = listening
             self._listening = None
+
+    def on_broadcast(self, kind: MessageKind, intake: Intake):
+        """Route every listening-set broadcast of *kind* through *intake*.
+
+        Instead of one callback per listening receiver, the channel makes
+        one call ``intake(message, receivers, fates, now)`` per delivery:
+        *receivers* is the attach-ordered listening snapshot and *fates*
+        the aligned fault judgments (None on a lossless channel).  The
+        intake must dispatch every receiver whose fate is
+        :attr:`Fate.DELIVER` and hand a :func:`corrupted_copy` to every
+        :attr:`Fate.CORRUPT` one, in attach order; how it does so (for
+        example acting on ``receiver.owner`` directly) is its business.
+        """
+        self._intake_kind = kind
+        self._intake = intake
 
     def send(self, message: Message) -> Event:
         """Enqueue *message*; returns an event that fires on delivery.
@@ -361,6 +406,17 @@ class Channel:
                         rec for rec in self._receivers if rec.listening
                     )
                     self._listening_keys = _fault_keys(receivers)
+                intake = self._intake
+                if intake is not None and message.kind is self._intake_kind:
+                    fates = (
+                        None
+                        if faults is None
+                        else faults.judge(message, self._listening_keys)
+                    )
+                    intake(message, receivers, fates, now)
+                    if done is not None:
+                        self._complete(done, message)
+                    return
                 if faults is None:
                     # Pristine broadcast: the hottest dispatch path.
                     for rec in receivers:
@@ -389,14 +445,13 @@ class Channel:
                 message, keys if keys is not None else _fault_keys(receivers)
             )
             deliver = Fate.DELIVER
-            corrupted_copy: Optional[Message] = None
+            corrupted: Optional[Message] = None
             for rec, fate in zip(receivers, fates):
                 if fate is deliver:
                     rec.callback(message, now)
                 elif fate is Fate.CORRUPT:
-                    if corrupted_copy is None:
-                        corrupted_copy = replace(message, corrupted=True)
-                        corrupted_copy.delivered_at = now
-                    rec.callback(corrupted_copy, now)
+                    if corrupted is None:
+                        corrupted = corrupted_copy(message, now)
+                    rec.callback(corrupted, now)
         if done is not None:
             self._complete(done, message)

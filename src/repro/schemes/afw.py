@@ -12,6 +12,7 @@ from __future__ import annotations
 from ..reports.bitseq import bs_salvage_threshold, build_bitseq_report
 from ..reports.window import WindowReportCache, build_window_report
 from .base import (
+    WINDOW_KINDS,
     ClientOutcome,
     ClientPolicy,
     PendingTlbBuffer,
@@ -87,6 +88,8 @@ class AdaptiveClientPolicy(ClientPolicy):
     * uncovered, already asked -> the server could not help: drop all.
     """
 
+    quiet_kinds = WINDOW_KINDS | {ReportKind.BIT_SEQUENCES}
+
     def __init__(self, params, client_id: int):
         self.params = params
         self.client_id = client_id
@@ -96,12 +99,6 @@ class AdaptiveClientPolicy(ClientPolicy):
     def on_report(self, ctx, report) -> ClientOutcome:
         t = report.timestamp
         if report.kind is ReportKind.BIT_SEQUENCES:
-            # Same O(1) no-news fast path as the plain BS client.
-            if ctx.tlb >= report.ts_b0 and not ctx.cache.unreconciled:
-                ctx.cache.certify(t)
-                ctx.tlb = t
-                self._sent_tlb = False
-                return ClientOutcome.READY
             inv = report.invalidation_for(ctx.tlb)
             if inv.covered:
                 reconcile_with_bitseq(ctx.cache, report)
@@ -114,12 +111,7 @@ class AdaptiveClientPolicy(ClientPolicy):
             self._sent_tlb = False
             return ClientOutcome.READY
         if report.window_start <= ctx.tlb:  # covers(), inlined
-            cache = ctx.cache
-            # No-news certify (apply_window_report's fast path, inlined).
-            if not cache.unreconciled and report.newest_ts <= cache.certified_floor:
-                cache.certify(t)
-            else:
-                apply_window_report(cache, report)
+            apply_window_report(ctx.cache, report)
             ctx.tlb = t
             self._sent_tlb = False
             return ClientOutcome.READY

@@ -30,10 +30,13 @@ Server contexts expose::
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..cache import ClientCache
-from ..reports.base import Invalidation, Report
+from ..reports.base import Invalidation, Report, ReportKind
+
+#: The TS-style window report kinds (``IR(w)`` and AAW's ``IR(w')``).
+WINDOW_KINDS = frozenset({ReportKind.WINDOW, ReportKind.ENLARGED_WINDOW})
 
 
 class ClientOutcome(enum.Enum):
@@ -183,6 +186,18 @@ def apply_invalidation(
 
 class ClientPolicy:
     """Per-client scheme behaviour.  Subclasses hold per-client state."""
+
+    #: Report kinds this policy applies with the plain semantics of the
+    #: paper's TS client (Figure 1, the :data:`WINDOW_KINDS`) or BS
+    #: client (Figure 2, ``BIT_SEQUENCES``).  The simulator's report
+    #: intake certifies a listener with nothing at stake in such a
+    #: report without calling :meth:`on_report` (docs/PROTOCOLS.md,
+    #: "Quiet listeners").  Declaring a kind promises two things: for a
+    #: covered report that names no cached item, with no suspect entry,
+    #: :meth:`on_report` would only certify the cache as of T, set
+    #: ``ctx.tlb = T`` and return READY; and the policy holds no uplink
+    #: latch while its client has no validation pending.
+    quiet_kinds: FrozenSet[ReportKind] = frozenset()
 
     def on_report(self, ctx, report: Report) -> ClientOutcome:
         """Handle one broadcast report; must update ``ctx.tlb`` when the

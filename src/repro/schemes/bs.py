@@ -7,6 +7,7 @@ of a ~2N-bit report each period (the downlink cost Figure 5 punishes).
 
 from __future__ import annotations
 
+from ..reports.base import ReportKind
 from ..reports.bitseq import build_bitseq_report
 from .base import (
     ClientOutcome,
@@ -40,20 +41,13 @@ class BSServerPolicy(ServerPolicy):
 class BSClientPolicy(ClientPolicy):
     """Figure 2's client algorithm."""
 
+    quiet_kinds = frozenset({ReportKind.BIT_SEQUENCES})
+
     def __init__(self, params, client_id: int):
         self.params = params
         self.client_id = client_id
 
     def on_report(self, ctx, report) -> ClientOutcome:
-        t = report.timestamp
-        cache = ctx.cache
-        # Fast path: no update since the client's last-heard time
-        # (``tlb >= TS(B0)``) and no suspects to reconcile — the general
-        # path below would compute an empty invalidation and certify.
-        if ctx.tlb >= report.ts_b0 and not cache.unreconciled:
-            cache.certify(t)
-            ctx.tlb = t
-            return ClientOutcome.READY
         inv = report.invalidation_for(ctx.tlb)
         if inv.covered:
             reconcile_with_bitseq(ctx.cache, report)

@@ -17,6 +17,7 @@ from typing import List, Tuple
 from ..reports.sizes import validity_report_bits
 from ..reports.window import WindowReportCache, build_window_report
 from .base import (
+    WINDOW_KINDS,
     ClientOutcome,
     ClientPolicy,
     Scheme,
@@ -64,6 +65,8 @@ class CheckingServerPolicy(ServerPolicy):
 class CheckingClientPolicy(ClientPolicy):
     """Uploads the whole cache when the window does not cover the gap."""
 
+    quiet_kinds = WINDOW_KINDS
+
     def __init__(self, params, client_id: int):
         self.params = params
         self.client_id = client_id
@@ -75,12 +78,7 @@ class CheckingClientPolicy(ClientPolicy):
             # cannot help (our Tlb predates its window).
             return ClientOutcome.PENDING
         if report.window_start <= ctx.tlb:  # covers(), inlined
-            cache = ctx.cache
-            # No-news certify (apply_window_report's fast path, inlined).
-            if not cache.unreconciled and report.newest_ts <= cache.certified_floor:
-                cache.certify(report.timestamp)
-            else:
-                apply_window_report(cache, report)
+            apply_window_report(ctx.cache, report)
             ctx.tlb = report.timestamp
             return ClientOutcome.READY
         entries = [

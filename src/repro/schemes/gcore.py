@@ -22,6 +22,7 @@ from typing import List, Tuple
 from ..reports.sizes import id_bits, validity_report_bits
 from ..reports.window import WindowReportCache, build_window_report
 from .base import (
+    WINDOW_KINDS,
     ClientOutcome,
     ClientPolicy,
     Scheme,
@@ -86,6 +87,8 @@ class GCOREServerPolicy(ServerPolicy):
 class GCOREClientPolicy(ClientPolicy):
     """Checking client that collapses timestamps into per-group minima."""
 
+    quiet_kinds = WINDOW_KINDS
+
     def __init__(self, params, client_id: int, n_groups: int = DEFAULT_GROUPS):
         self.params = params
         self.client_id = client_id
@@ -102,12 +105,7 @@ class GCOREClientPolicy(ClientPolicy):
         if self._check_pending:
             return ClientOutcome.PENDING
         if report.window_start <= ctx.tlb:  # covers(), inlined
-            cache = ctx.cache
-            # No-news certify (apply_window_report's fast path, inlined).
-            if not cache.unreconciled and report.newest_ts <= cache.certified_floor:
-                cache.certify(report.timestamp)
-            else:
-                apply_window_report(cache, report)
+            apply_window_report(ctx.cache, report)
             ctx.tlb = report.timestamp
             return ClientOutcome.READY
         entries = ctx.cache.entries()

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from ..reports.window import WindowReportCache, build_window_report
 from .base import (
+    WINDOW_KINDS,
     ClientOutcome,
     ClientPolicy,
     Scheme,
@@ -40,6 +41,8 @@ class TSServerPolicy(ServerPolicy):
 class TSClientPolicy(ClientPolicy):
     """Figure 1's client algorithm: covered -> precise drop; else drop all."""
 
+    quiet_kinds = WINDOW_KINDS
+
     def __init__(self, params, client_id: int):
         self.params = params
         self.client_id = client_id
@@ -48,12 +51,7 @@ class TSClientPolicy(ClientPolicy):
         t = report.timestamp
         cache = ctx.cache
         if report.window_start <= ctx.tlb:  # covers(), inlined
-            # No-news certify, inlined from apply_window_report's fast
-            # path: this runs once per listener per tick.
-            if not cache.unreconciled and report.newest_ts <= cache.certified_floor:
-                cache.certify(t)
-            else:
-                apply_window_report(cache, report)
+            apply_window_report(cache, report)
         else:
             cache.drop_all()
             ctx.note_cache_drop()

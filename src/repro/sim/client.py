@@ -12,18 +12,25 @@ consistent with the paper's absolute throughput levels (see DESIGN.md).
 
 The client is also the scheme's *client context*: policies call
 ``send_tlb`` / ``send_check_request`` / ``note_cache_drop`` on it.
+
+Invalidation reports reach a cell's clients through one
+:func:`report_intake` call per broadcast, which certifies the listeners
+with nothing at stake in one loop and hands the rest to
+:meth:`MobileClient._on_downlink`.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, Optional
 
 from ..cache import CacheEntry, ClientCache
 from ..des import Environment, Event
 from ..des.monitor import MetricSet
-from ..net import Channel, Message, MessageKind, SERVER_ID
+from ..net import Channel, Fate, Message, MessageKind, SERVER_ID, corrupted_copy
+from ..reports.base import Invalidation, ReportKind
 from ..reports.sizes import checking_upload_bits, nack_upload_bits, tlb_upload_bits
-from ..schemes.base import ClientOutcome
+from ..schemes.base import WINDOW_KINDS, ClientOutcome
 from . import metrics as m
 from .energy import ENERGY_RX, ENERGY_TX
 
@@ -33,6 +40,10 @@ _IR = MessageKind.INVALIDATION_REPORT
 _VALIDITY = MessageKind.VALIDITY_REPORT
 _DATA = MessageKind.DATA_ITEM
 _READY = ClientOutcome.READY
+_BS = ReportKind.BIT_SEQUENCES
+_DROP_ALL = Invalidation.drop_all()
+_DELIVER = Fate.DELIVER
+_CORRUPT = Fate.CORRUPT
 
 
 class MobileClient:
@@ -132,6 +143,8 @@ class MobileClient:
         self._m_checks_sent = bind(m.CHECKS_SENT)
         self._m_ir_duplicates = bind(m.IR_DUPLICATES)
         self._m_ir_gaps = bind(m.IR_GAPS)
+        self._m_epoch_purges = bind(m.EPOCH_PURGES, sparse=True)
+        self._m_roam_lagged = bind(m.ROAM_LAGGED_REPORTS, sparse=True)
         self._m_energy_tx = bind(ENERGY_TX)
         self._m_energy_rx = bind(ENERGY_RX)
         self._m_latency_tally = metrics.bind_tally(m.QUERY_LATENCY)
@@ -175,11 +188,7 @@ class MobileClient:
             self._last_report_heard = None
 
         self._ir_channel = ir_channel
-        downlink.attach(self._on_downlink, dest=client_id, listening=resume is None)
-        if ir_channel is not None:
-            ir_channel.attach(
-                self._on_downlink, dest=client_id, listening=resume is None
-            )
+        self._attach_radio(downlink, ir_channel, listening=resume is None)
         env.process(self._query_loop(), name=f"client-{client_id}-query")
 
     def __repr__(self):
@@ -285,13 +294,7 @@ class MobileClient:
         self.downlink = downlink
         self.uplink = uplink
         self._ir_channel = ir_channel
-        downlink.attach(
-            self._on_downlink, dest=self.client_id, listening=self.connected
-        )
-        if ir_channel is not None:
-            ir_channel.attach(
-                self._on_downlink, dest=self.client_id, listening=self.connected
-            )
+        self._attach_radio(downlink, ir_channel, listening=self.connected)
         self.cell_id = cell_id
         self._report_cell = None
         self._last_report_applied = None
@@ -325,6 +328,20 @@ class MobileClient:
 
     # -- downlink handling -----------------------------------------------------
 
+    def _attach_radio(self, downlink: Channel, ir_channel: Optional[Channel],
+                      listening: bool):
+        """Attach to a cell's downlink (and report channel, if any); the
+        client is the receiver's owner, so :func:`report_intake` can
+        certify it without the callback."""
+        for channel in (downlink, ir_channel):
+            if channel is not None:
+                channel.attach(
+                    self._on_downlink,
+                    dest=self.client_id,
+                    listening=listening,
+                    owner=self,
+                )
+
     def _set_listening(self, on: bool):
         """Doze/wake the radio: gate broadcast dispatch at the channel.
 
@@ -343,8 +360,9 @@ class MobileClient:
             self._on_corrupted(msg)
             return
         if msg.kind is _IR:
-            # Hottest branch in the cell (every listener, every tick):
-            # charge inline and read the dedup property once.
+            # A model's channels route reports through report_intake,
+            # which sends only listeners with something at stake here:
+            # this arm is the full certification state machine.
             self._m_energy_rx.add(self._rx_nj_per_bit * msg.size_bits)
             report = msg.payload
             # Every report's dedup_key IS its timestamp (reports.base);
@@ -374,7 +392,7 @@ class MobileClient:
                 # void.  Purge via the scheme (default: full drop), then
                 # resynchronise Tlb to the new timeline so this very
                 # report certifies the emptied cache.
-                self.metrics.counter(m.EPOCH_PURGES).add()
+                self._m_epoch_purges.add()
                 self.policy.on_epoch_change(self, self._report_epoch, epoch, now)
                 self._report_cell = report.cell
                 self._report_epoch = epoch
@@ -386,7 +404,7 @@ class MobileClient:
                 # this report's horizon, so applying it would regress
                 # knowledge (and wrongly purge).  Skip it; queries may
                 # proceed unless an unreconciled fetch needs a report.
-                self.metrics.counter(m.ROAM_LAGGED_REPORTS).add()
+                self._m_roam_lagged.add()
                 if not self.cache.unreconciled:
                     self._fire_ready()
                 return
@@ -785,3 +803,133 @@ class MobileClient:
                     return
         finally:
             self._watchdog_armed = False
+
+
+def report_intake(msg: Message, receivers, fates, now: float):
+    """A cell channel's invalidation-report intake (``Channel.on_broadcast``).
+
+    The paper's economics are one broadcast for N listeners, and most
+    listeners have nothing at stake in a given report.  The intake walks
+    the channel's listening snapshot once, in attach order.  A listener
+    takes the *quiet* arm when its policy applies the report's kind with
+    the plain TS/BS semantics (``ClientPolicy.quiet_kinds``) and all of
+    these hold (docs/PROTOCOLS.md, "Quiet listeners"):
+
+    * the copy is intact, the client is connected and no validation is
+      pending;
+    * the report is from the client's own (cell, epoch) timeline, newer
+      than the last one applied and not older than ``Tlb``;
+    * no report went missing since the last one heard;
+    * the cache holds no suspect entry;
+    * the report covers ``Tlb`` and names no item the cache holds
+      (window: ``fresh_since(floor)``; BS: ``invalidation_for(Tlb)``).
+
+    The quiet arm is exactly what :meth:`MobileClient._on_downlink`
+    would end in: ``Tlb`` and the report bookkeeping move to T, the
+    cache certifies as of T and the query waiting on the report wakes.
+    Every other listener (and every ownerless receiver) gets its
+    callback, in order.
+
+    The clients of one channel share params and metrics.  So the gap
+    test may be memoized across listeners on the last-heard time alone,
+    and the quiet listeners' receive energy is summed after the loop:
+    every addend of one delivery is the same ``rx_nj_per_bit *
+    size_bits`` into the same counter, and the total is bit-identical to
+    charging them one by one.
+    """
+    report = msg.payload
+    t = report.timestamp
+    kind = report.kind
+    epoch = report.epoch
+    cell = report.cell
+    bs = kind is _BS
+    # Per-broadcast screen inputs; a kind no policy takes quietly never
+    # gets past the quiet_kinds test, so its placeholders go unread.
+    windowed = kind in WINDOW_KINDS
+    window_start = report.window_start if windowed else t
+    newest = report.newest_ts if windowed else t
+    ts_b0 = report.ts_b0 if bs else t
+    # One tick's listeners overwhelmingly share a policy class, a
+    # last-heard time, a certification floor and a Tlb, so the screen's
+    # derived values are memoized on them across the loop.
+    seen_kinds = None
+    kind_quiet = False
+    no_gap_heard = None
+    fresh_floor = None
+    fresh_items: list = []
+    inv_tlb = None
+    inv = _DROP_ALL
+    quiet = None
+    n_quiet = 0
+    corrupted = None
+    for rec, fate in zip(receivers, repeat(_DELIVER) if fates is None else fates):
+        if fate is not _DELIVER:
+            if fate is _CORRUPT:
+                if corrupted is None:
+                    corrupted = corrupted_copy(msg, now)
+                rec.callback(corrupted, now)
+            continue
+        client = rec.owner
+        if client is None or not client.connected or client._validation_pending:
+            rec.callback(msg, now)
+            continue
+        kinds = client.policy.quiet_kinds
+        if kinds is not seen_kinds:
+            seen_kinds = kinds
+            kind_quiet = kind in kinds
+        applied = client._last_report_applied
+        tlb = client.tlb
+        cache = client.cache
+        if (
+            not kind_quiet
+            or client._report_epoch != epoch
+            or client._report_cell != cell
+            or (applied is not None and t <= applied)
+            or t < tlb
+            or cache.unreconciled
+        ):
+            rec.callback(msg, now)
+            continue
+        last = client._last_report_heard
+        if last is not None and last != no_gap_heard:
+            if round((t - last) / client.params.broadcast_interval) > 1:
+                rec.callback(msg, now)
+                continue
+            no_gap_heard = last
+        if bs:
+            if tlb < ts_b0:
+                if tlb != inv_tlb:
+                    inv_tlb = tlb
+                    inv = report.invalidation_for(tlb)
+                if not inv.covered or cache.holds_any(inv.items):
+                    rec.callback(msg, now)
+                    continue
+        elif tlb < window_start:
+            rec.callback(msg, now)
+            continue
+        else:
+            floor = cache.certified_floor
+            if newest > floor:
+                if floor != fresh_floor:
+                    fresh_floor = floor
+                    fresh_items = [item for item, _ts in report.fresh_since(floor)]
+                if cache.holds_any(fresh_items):
+                    rec.callback(msg, now)
+                    continue
+        client.tlb = t
+        client._last_report_applied = t
+        client._last_report_heard = t
+        cache.certify(t)
+        waiter = client._ready_waiters
+        if waiter is not None:
+            client._ready_waiters = None
+            waiter.succeed()
+        quiet = client
+        n_quiet += 1
+    if quiet is not None:
+        charge = quiet._rx_nj_per_bit * msg.size_bits
+        counter = quiet._m_energy_rx
+        total = counter.value
+        for _ in range(n_quiet):
+            total += charge
+        counter.value = total

@@ -10,9 +10,9 @@ from ..db import Database, UpdateGenerator, UpdateLog
 from ..des import Environment, RandomStreams
 from ..des._backend import kernel_backend
 from ..des.monitor import MetricSet
-from ..net import Channel, FaultModel, PRIORITY_CHECK, PRIORITY_IR
+from ..net import Channel, FaultModel, MessageKind, PRIORITY_CHECK, PRIORITY_IR
 from ..schemes import Scheme, get_scheme
-from .client import MobileClient
+from .client import MobileClient, report_intake
 from .metrics import SimulationResult, finalize
 from .params import SystemParams
 from .querylog import QueryLog
@@ -86,6 +86,7 @@ class SimulationModel:
             if params.ir_channel_bps is not None
             else None
         )
+        self._route_reports(self.downlink, self.ir_channel)
 
         self.server_policy = scheme.make_server_policy(params, self.db)
         self.server = Server(
@@ -279,6 +280,14 @@ class SimulationModel:
 
     def _finish_promote(self, client: MobileClient):
         """Hook: let subclasses finish wiring a promoted client."""
+
+    @staticmethod
+    def _route_reports(downlink: Channel, ir_channel):
+        """Hand each report broadcast on a cell's channels to one
+        :func:`~repro.sim.client.report_intake` call."""
+        for channel in (downlink, ir_channel):
+            if channel is not None:
+                channel.on_broadcast(MessageKind.INVALIDATION_REPORT, report_intake)
 
     def _fault_model(self, config, channel_name: str):
         """A seeded :class:`FaultModel` for one channel (None with faults off)."""

@@ -98,6 +98,7 @@ class MultiCellModel(SimulationModel):
                 if params.ir_channel_bps is not None
                 else None
             )
+            self._route_reports(downlink, ir_channel)
             replica = Database(params.db_size)
             policy = self.scheme.make_server_policy(params, replica)
             server = Server(
